@@ -117,11 +117,16 @@ class DistributedTranscoder:
         resolution: Resolution | None = None, bitrate: float | None = None,
         n_segments: int | None = None,
     ) -> Generator:
-        """Process: split / scatter / parallel convert / gather / merge."""
+        """Process: split / scatter / parallel convert / gather / merge.
+
+        *n_segments* defaults to one segment per worker, but never more
+        segments than *src* has GOPs (a short clip uses fewer workers).
+        """
         engine = self.cluster.engine
         network = self.cluster.network
         ingest = self.cluster.host(self.ingest)
-        n = n_segments if n_segments is not None else len(self.workers)
+        n = (n_segments if n_segments is not None
+             else min(len(self.workers), src.gop_count))
         if n < 1:
             raise TranscodeError("n_segments must be >= 1")
 

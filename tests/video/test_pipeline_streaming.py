@@ -96,6 +96,23 @@ class TestDistributedConversion:
                                    n_segments=8)))
         assert report.segments == 8
 
+    def test_short_clip_uses_one_segment_per_gop(self):
+        """A 10 s clip has 5 GOPs: six workers cut it into 5 segments."""
+        src = clip(duration=10.0)
+        assert src.gop_count == 5
+        cluster, tx = make_transcoder(7)
+        report = cluster.run(cluster.engine.process(
+            tx.convert_distributed(src, vcodec="h264", container="flv")))
+        assert report.segments == 5
+        assert report.output.gop_count == src.gop_count
+
+    def test_explicit_segment_count_above_gops_still_fails(self):
+        cluster, tx = make_transcoder(7)
+        with pytest.raises(TranscodeError, match="cannot cut 5 GOPs"):
+            cluster.run(cluster.engine.process(
+                tx.convert_distributed(clip(duration=10.0), vcodec="h264",
+                                       container="flv", n_segments=6)))
+
     def test_bad_workers(self):
         cluster = Cluster(2)
         with pytest.raises(TranscodeError):

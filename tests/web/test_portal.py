@@ -97,6 +97,19 @@ class TestUploadFlow:
         # poster thumbnail extracted
         assert portal.thumbnail(vid) is not None
 
+    def test_short_clip_on_six_workers_publishes(self):
+        """A 10 s clip (5 GOPs) is cut into fewer segments than workers."""
+        cluster, portal = make_portal(n_hosts=8)
+        assert len(portal.transcoder.workers) == 6
+        session = register_and_login(cluster, portal)
+        resp = cluster.run(cluster.engine.process(portal.request(
+            "POST", "/upload", session=session,
+            params={"title": "short", "media": upload_clip(duration=10.0)})))
+        assert resp.ok, resp.body
+        vid = resp.body["video_id"]
+        assert portal.db.table("videos").get(vid)["status"] == "published"
+        assert portal.fs.namenode.exists(f"/published/video-{vid}-720p.flv")
+
     def test_upload_requires_login(self):
         cluster, portal = make_portal()
         r = cluster.run(cluster.engine.process(portal.request(
