@@ -84,8 +84,3 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
         "chaos", "reconcile", "stack", "analysis",
     }),
 }
-
-
-def allowed_for(package: str) -> frozenset[str] | None:
-    """The allowed import set for *package*, or None when unknown."""
-    return ALLOWED_IMPORTS.get(package)

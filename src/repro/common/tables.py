@@ -49,9 +49,3 @@ def format_table(
     for cells in rendered:
         out.append(line(cells))
     return "\n".join(out)
-
-
-def print_table(headers: Sequence[str], rows: Iterable[Sequence[Any]],
-                **kw: Any) -> None:  # pragma: no cover - I/O shim
-    print(format_table(headers, rows, **kw))
-    print()

@@ -30,7 +30,6 @@ from .template import (
     VmTemplate,
     free_memory_at_least,
     host_name_in,
-    rank_free_cpu,
     rank_free_memory,
 )
 from .users import (
@@ -85,6 +84,5 @@ __all__ = [
     "host_name_in",
     "postcopy_migrate",
     "precopy_migrate",
-    "rank_free_cpu",
     "rank_free_memory",
 ]

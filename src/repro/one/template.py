@@ -62,11 +62,6 @@ def host_name_in(*names: str) -> Requirement:
     return req
 
 
-def rank_free_cpu(facts: dict[str, Any]) -> float:
-    """Rank: prefer hosts with more idle cores (OpenNebula's FREECPU)."""
-    return facts["cores"] - facts["running_tasks"]
-
-
 def rank_free_memory(facts: dict[str, Any]) -> float:
     """Rank: prefer hosts with more free RAM (OpenNebula's FREEMEMORY)."""
     return float(facts["mem_free"])

@@ -24,7 +24,12 @@ Performance notes (the PR-7 raw-speed pass):
 * short-lived :class:`Timeout` objects are recycled through a freelist
   when they provably had a single waiting process.  The contract: model
   code must not *retain* a Timeout reference past its firing (re-yielding
-  a still-pending timeout, as interrupt handlers do, is fine).
+  a still-pending timeout, as interrupt handlers do, is fine);
+* one drain loop serves ``run()`` and ``step()``.  Stopping early costs
+  no check per entry: both push a *halt key* that sorts before every
+  real key, which the URGENT-preemption check already catches.  The
+  sanitizer (timer-cell wrapping) and the schedule shuffle (a per-bucket
+  permute) add no per-entry branch either.
 
 Only the features the repro library needs are implemented, but they are
 implemented fully: timeouts, process joining, interrupts, and the
@@ -336,6 +341,12 @@ class AnyOf(Condition):
 #: Process._resume as an unbound function, for the Timeout-recycling probe
 _RESUME = Process._resume
 
+#: the halt key: sorts before every real key (time is never negative)
+#: and owns no bucket, so pushing it ends the drain
+_HALT = (-1.0, URGENT)
+
+_INF = float("inf")
+
 
 class Engine:
     """The event loop: owns virtual time and the schedule.
@@ -363,9 +374,8 @@ class Engine:
         self._hot_at = -1.0
         self._hot_pri = NORMAL
         self._hot_bucket: deque | None = None
-        # Concurrency tooling, both off by default.  run() pays exactly
-        # one None-check per *call* (not per event) to route to the
-        # instrumented twin loop, so the PR-7 fast path is untaxed.
+        # Concurrency tooling, both off by default and neither a branch
+        # per entry in _drain (see enable_sanitizer, enable_schedule_shuffle).
         self._sanitizer: "Sanitizer | None" = None
         self._shuffle = None  # RngStream permuting equal-(time, priority) runs
 
@@ -418,8 +428,8 @@ class Engine:
         """
         if delay < 0:
             raise SimulationError(f"negative call_later delay: {delay}")
-        # Inlined _schedule_timer: this is the hottest schedule entry
-        # point (periodic ticks rescheduling themselves) -- keep in sync.
+        # _schedule's body for a timer cell, inlined: this is the hottest
+        # schedule entry point (periodic ticks rescheduling themselves).
         at = self._now + delay
         priority = URGENT if urgent else NORMAL
         if at == self._hot_at and priority == self._hot_pri:
@@ -441,22 +451,7 @@ class Engine:
         if when < self._now:
             raise SimulationError(
                 f"call_at({when}) is in the past (now={self._now})")
-        self._schedule_timer(when, fn, args, URGENT if urgent else NORMAL)
-
-    def _schedule_timer(self, at: float, fn: Callable[..., Any],
-                        args: tuple, priority: int) -> None:
-        if at == self._hot_at and priority == self._hot_pri:
-            self._hot_bucket.append((fn, args))
-            return
-        key = (at, priority)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = bucket = deque()
-            heappush(self._keys, key)
-        self._hot_at = at
-        self._hot_pri = priority
-        self._hot_bucket = bucket
-        bucket.append((fn, args))
+        self._insert(when, URGENT if urgent else NORMAL, (fn, args))
 
     # -- scheduling -----------------------------------------------------------
 
@@ -475,6 +470,16 @@ class Engine:
         self._hot_bucket = bucket
         bucket.append(event)
 
+    def _insert(self, at: float, priority: int, entry: Any) -> None:
+        """Schedule insert without the hot-bucket cache (a shortcut to the
+        same deque, so FIFO order is shared with :meth:`_schedule`)."""
+        key = (at, priority)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = bucket = deque()
+            heappush(self._keys, key)
+        bucket.append(entry)
+
     def _next_key(self) -> "tuple[float, int] | None":
         """Head of the key heap, lazily discarding drained keys."""
         keys = self._keys
@@ -489,18 +494,19 @@ class Engine:
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
         key = self._next_key()
-        return key[0] if key is not None else float("inf")
+        return key[0] if key is not None else _INF
 
     # -- concurrency tooling ---------------------------------------------------
 
     def enable_sanitizer(self) -> "Sanitizer":
         """Arm the happens-before race sanitizer (idempotent).
 
-        Scheduling entry points are shadowed with note-taking wrappers
-        (instance attributes win over the class methods and disappear on
-        :meth:`disable_sanitizer`), and ``run()`` routes to the
-        instrumented loop -- the fast path itself is never edited, so a
-        sanitizer-off engine runs the exact PR-7 machine code.
+        While armed, every schedule entry, pending or new, is held as a
+        ``(san.dispatch, (entry,))`` timer cell: the drain loop fires it
+        through the sanitizer with no branch of its own and never
+        recycles a Timeout the sanitizer could observe.  New entries come
+        from note-taking wrappers that shadow the scheduling methods as
+        instance attributes until :meth:`disable_sanitizer`.
         """
         if self._sanitizer is not None:
             return self._sanitizer
@@ -508,20 +514,12 @@ class Engine:
 
         san = Sanitizer(self)
         self._sanitizer = san
-        plain_schedule = Engine._schedule.__get__(self)
+        dispatch = san.dispatch
+        insert = self._insert
 
         def _schedule(event: Event, priority: int, delay: float = 0.0) -> None:
             san.note_schedule(event)
-            plain_schedule(event, priority, delay)
-
-        def call_later(delay: float, fn: Callable[..., Any], *args: Any,
-                       urgent: bool = False) -> None:
-            if delay < 0:
-                raise SimulationError(f"negative call_later delay: {delay}")
-            cell = (fn, args)
-            san.note_schedule(cell)
-            self._insert(self._now + delay,
-                         URGENT if urgent else NORMAL, cell)
+            insert(self._now + delay, priority, (dispatch, (event,)))
 
         def call_at(when: float, fn: Callable[..., Any], *args: Any,
                     urgent: bool = False) -> None:
@@ -530,24 +528,42 @@ class Engine:
                     f"call_at({when}) is in the past (now={self._now})")
             cell = (fn, args)
             san.note_schedule(cell)
-            self._insert(when, URGENT if urgent else NORMAL, cell)
+            insert(when, URGENT if urgent else NORMAL, (dispatch, (cell,)))
+
+        def call_later(delay: float, fn: Callable[..., Any], *args: Any,
+                       urgent: bool = False) -> None:
+            if delay < 0:
+                raise SimulationError(f"negative call_later delay: {delay}")
+            call_at(self._now + delay, fn, *args, urgent=urgent)
 
         self._schedule = _schedule          # type: ignore[method-assign]
         self.call_later = call_later        # type: ignore[method-assign]
         self.call_at = call_at              # type: ignore[method-assign]
+        self._map_pending(lambda entry: (dispatch, (entry,)))
         activate(san)
         return san
 
     def disable_sanitizer(self) -> None:
-        """Disarm the sanitizer and restore the plain schedule methods."""
-        if self._sanitizer is None:
+        """Disarm the sanitizer: unwrap pending entries, unshadow methods."""
+        san = self._sanitizer
+        if san is None:
             return
         from .sanitizer import deactivate
 
-        deactivate(self._sanitizer)
+        deactivate(san)
         self._sanitizer = None
         for name in ("_schedule", "call_later", "call_at"):
             self.__dict__.pop(name, None)
+        dispatch = san.dispatch
+        self._map_pending(lambda entry: entry[1][0] if entry.__class__ is tuple
+                          and entry[0] == dispatch else entry)
+
+    def _map_pending(self, fn: Callable[[Any], Any]) -> None:
+        """Replace every pending entry by ``fn(entry)``, order kept."""
+        for bucket in self._buckets.values():
+            entries = [fn(entry) for entry in bucket]
+            bucket.clear()
+            bucket.extend(entries)
 
     def enable_schedule_shuffle(self, seed: int) -> None:
         """Permute equal-``(time, priority)`` dispatch order, seeded.
@@ -565,99 +581,46 @@ class Engine:
         """Restore plain FIFO draining of equal-key buckets."""
         self._shuffle = None
 
-    def _insert(self, at: float, priority: int, entry: Any) -> None:
-        """Plain (uncached) schedule insert used by the sanitizer wrappers."""
-        key = (at, priority)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = bucket = deque()
-            heappush(self._keys, key)
-        bucket.append(entry)
+    # -- the drain loop -------------------------------------------------------
 
-    def _dispatch(self, entry: Any) -> None:
-        """Fire one schedule entry (timer cell or event) at the current time.
+    def _halt(self, _event: Event) -> None:
+        heappush(self._keys, _HALT)
 
-        ``run()`` inlines this logic for speed -- keep the two in sync.
+    def _drain(self, deadline: float, one: bool) -> None:
+        """THE dispatch loop: fire entries in ``(time, priority, FIFO)`` order.
+
+        Stops when the schedule empties, the head key lies past
+        *deadline*, or the halt key is at the head: pushed by a stop
+        event's :meth:`_halt` callback, or at once when *one*, it ends
+        the drain after the current entry through the same per-entry
+        check that lets an URGENT arrival preempt the rest of a bucket.
+        A shuffled bucket is re-permuted on each visit of its key.
         """
-        self.events_dispatched += 1
-        if entry.__class__ is tuple:
-            fn, args = entry
-            fn(*args)
-            return
-        callbacks, entry.callbacks = entry.callbacks, None
-        for cb in callbacks:
-            cb(entry)
-        if not entry._ok and not entry._defused:
-            raise entry._value
-        if entry.__class__ is Timeout and len(callbacks) == 1 \
-                and getattr(callbacks[0], "__func__", None) is _RESUME:
-            # Sole waiter was a process and it has consumed the value:
-            # recycle the cell (see the module docstring for the contract).
-            entry._value = _PENDING
-            entry._ok = None
-            entry._defused = False
-            callbacks.clear()
-            entry.callbacks = callbacks
-            if len(self._timeout_pool) < _POOL_MAX:
-                self._timeout_pool.append(entry)
-
-    def step(self) -> None:
-        """Process exactly one schedule entry."""
-        key = self._next_key()
-        if key is None:
-            raise SimulationError("step() on an empty schedule")
-        bucket = self._buckets[key]
-        self._now = key[0]
-        entry = bucket.popleft()
-        if not bucket:
-            del self._buckets[key]
-            if self._hot_bucket is bucket:
-                self._hot_at = -1.0
-                self._hot_bucket = None
-            if self._keys[0] is key:
-                heappop(self._keys)
-        self._dispatch(entry)
-
-    def run(self, until: "float | Event | None" = None) -> Any:
-        """Run until the schedule empties, a deadline passes, or an event fires.
-
-        * ``until=None``   -- drain the schedule.
-        * ``until=<float>``-- advance to that time (clock lands exactly there).
-        * ``until=<Event>``-- run until that event triggers; returns its value.
-        """
-        if self._sanitizer is not None or self._shuffle is not None:
-            return self._run_instrumented(until)
-        stop_event: Event | None = None
-        deadline: float | None = None
-        if isinstance(until, Event):
-            stop_event = until
-            if stop_event.callbacks is None:
-                return stop_event._value
-        elif until is not None:
-            deadline = float(until)
-            if deadline < self._now:
-                raise SimulationError(f"run(until={deadline}) is in the past (now={self._now})")
-
-        # The hot loop: everything localised, the common same-key run drained
-        # without touching the key heap.  Mirrors _dispatch() -- keep in sync.
-        # Two inner-drain variants: the common until=None/deadline case
-        # skips the per-entry stop_event checks entirely.
         keys = self._keys
         buckets = self._buckets
         timeout_pool = self._timeout_pool
+        shuffle = self._shuffle
         dispatched = self.events_dispatched
         try:
             while keys:
                 key = keys[0]
                 bucket = buckets.get(key)
                 if bucket is None:
-                    heappop(keys)
+                    if key is _HALT:
+                        break
+                    heappop(keys)       # a drained bucket's stale key
                     continue
-                if deadline is not None and key[0] > deadline:
+                if key[0] > deadline:
                     break
-                if stop_event is None:
-                    self._now = key[0]
-                    popleft = bucket.popleft
+                self._now = key[0]
+                if one:
+                    heappush(keys, _HALT)
+                if shuffle is not None and len(bucket) > 1:
+                    permuted = shuffle.shuffle(list(bucket))
+                    bucket.clear()
+                    bucket.extend(permuted)
+                popleft = bucket.popleft
+                try:
                     while bucket:
                         entry = popleft()
                         dispatched += 1
@@ -674,6 +637,8 @@ class Engine:
                                     and len(callbacks) == 1 \
                                     and getattr(callbacks[0], "__func__",
                                                 None) is _RESUME:
+                                # sole waiter was a process: recycle the
+                                # cell (the module docstring's contract)
                                 entry._value = _PENDING
                                 entry._ok = None
                                 entry._defused = False
@@ -682,145 +647,63 @@ class Engine:
                                 if len(timeout_pool) < _POOL_MAX:
                                     timeout_pool.append(entry)
                         if keys[0] is not key:
-                            # an URGENT (or earlier) key arrived mid-drain
-                            # and outranks the rest of this bucket
-                            break
-                else:
-                    if stop_event.callbacks is None:
-                        break
-                    self._now = key[0]
-                    while bucket:
-                        entry = bucket.popleft()
-                        dispatched += 1
-                        if entry.__class__ is tuple:
-                            fn, args = entry
-                            fn(*args)
-                        else:
-                            callbacks, entry.callbacks = entry.callbacks, None
-                            for cb in callbacks:
-                                cb(entry)
-                            if not entry._ok and not entry._defused:
-                                raise entry._value
-                            if entry.__class__ is Timeout \
-                                    and entry is not stop_event \
-                                    and len(callbacks) == 1 \
-                                    and getattr(callbacks[0], "__func__",
-                                                None) is _RESUME:
-                                entry._value = _PENDING
-                                entry._ok = None
-                                entry._defused = False
-                                callbacks.clear()
-                                entry.callbacks = callbacks
-                                if len(timeout_pool) < _POOL_MAX:
-                                    timeout_pool.append(entry)
-                        if stop_event.callbacks is None:
-                            break
-                        if keys[0] is not key:
-                            break
-                if not bucket:
-                    del buckets[key]
-                    if self._hot_bucket is bucket:
-                        self._hot_at = -1.0
-                        self._hot_bucket = None
-                    if keys and keys[0] is key:
-                        heappop(keys)
+                            break       # a halt or URGENT key arrived
+                finally:
+                    # also on a raising entry, so no empty bucket is left
+                    if not bucket:
+                        del buckets[key]
+                        if self._hot_bucket is bucket:
+                            self._hot_at = -1.0
+                            self._hot_bucket = None
+                        if keys[0] is key:
+                            heappop(keys)
         finally:
             self.events_dispatched = dispatched
+            if keys and keys[0] is _HALT:
+                heappop(keys)
 
-        if deadline is not None:
-            self._now = max(self._now, deadline)
-        if stop_event is not None:
-            if not stop_event.triggered:
-                raise SimulationError("run() ran out of events before `until` triggered")
-            if not stop_event._ok:
-                stop_event._defused = True
-                raise stop_event._value
-            return stop_event._value
-        return None
+    def step(self) -> None:
+        """Process exactly one schedule entry."""
+        if self._next_key() is None:
+            raise SimulationError("step() on an empty schedule")
+        self._drain(_INF, True)
 
-    def _run_instrumented(self, until: "float | Event | None" = None) -> Any:
-        """run()'s twin for when the sanitizer or schedule shuffle is armed.
+    def run(self, until: "float | Event | None" = None) -> Any:
+        """Run until the schedule empties, a deadline passes, or an event fires.
 
-        Same semantics as the fast path (deadline, stop events, URGENT
-        preemption mid-drain, lazy stale-key deletion) at lower speed:
-        each entry funnels through the sanitizer for happens-before
-        attribution, and equal-``(time, priority)`` buckets are permuted
-        by the seeded shuffle stream before draining (entries scheduled
-        into the key mid-drain append FIFO behind the permuted prefix
-        and are re-permuted if the drain is preempted and resumed).
-        Timeout freelist recycling is deliberately skipped: correctness
-        tooling must never observe a recycled cell.
+        * ``until=None``   -- drain the schedule.
+        * ``until=<float>``-- advance to that time (clock lands exactly there).
+        * ``until=<Event>``-- run until that event triggers; returns its value.
         """
-        stop_event: Event | None = None
-        deadline: float | None = None
+        stop: Event | None = None
+        deadline = _INF
         if isinstance(until, Event):
-            stop_event = until
-            if stop_event.callbacks is None:
-                return stop_event._value
+            stop = until
+            if stop.callbacks is None:
+                return stop._value
+            stop.callbacks.append(self._halt)
         elif until is not None:
             deadline = float(until)
             if deadline < self._now:
-                raise SimulationError(
-                    f"run(until={deadline}) is in the past (now={self._now})")
+                raise SimulationError(f"run(until={deadline}) is in the past (now={self._now})")
+        try:
+            self._drain(deadline, False)
+        finally:
+            if stop is not None and stop.callbacks is not None:
+                stop.callbacks.remove(self._halt)
 
-        keys = self._keys
-        buckets = self._buckets
-        san = self._sanitizer
-        shuffle = self._shuffle
-        while keys:
-            key = keys[0]
-            bucket = buckets.get(key)
-            if bucket is None:
-                heappop(keys)
-                continue
-            if deadline is not None and key[0] > deadline:
-                break
-            if stop_event is not None and stop_event.callbacks is None:
-                break
-            self._now = key[0]
-            if shuffle is not None and len(bucket) > 1:
-                permuted = shuffle.shuffle(list(bucket))
-                bucket.clear()
-                bucket.extend(permuted)
-            while bucket:
-                entry = bucket.popleft()
-                self.events_dispatched += 1
-                if san is not None:
-                    san.dispatch(entry)
-                elif entry.__class__ is tuple:
-                    fn, args = entry
-                    fn(*args)
-                else:
-                    callbacks, entry.callbacks = entry.callbacks, None
-                    for cb in callbacks:
-                        cb(entry)
-                    if not entry._ok and not entry._defused:
-                        raise entry._value
-                if stop_event is not None and stop_event.callbacks is None:
-                    break
-                if keys[0] is not key:
-                    break
-            if not bucket:
-                del buckets[key]
-                if self._hot_bucket is bucket:
-                    self._hot_at = -1.0
-                    self._hot_bucket = None
-                if keys and keys[0] is key:
-                    heappop(keys)
-
-        if san is not None:
+        if self._sanitizer is not None:
             # run() returning is a synchronization point: the caller
             # resumes only after every dispatched event has finished,
             # so its later accesses are ordered after the whole run
-            san.barrier()
-        if deadline is not None:
-            self._now = max(self._now, deadline)
-        if stop_event is not None:
-            if not stop_event.triggered:
-                raise SimulationError(
-                    "run() ran out of events before `until` triggered")
-            if not stop_event._ok:
-                stop_event._defused = True
-                raise stop_event._value
-            return stop_event._value
-        return None
+            self._sanitizer.barrier()
+        if stop is None:
+            if until is not None:
+                self._now = max(self._now, deadline)
+            return None
+        if not stop.triggered:
+            raise SimulationError("run() ran out of events before `until` triggered")
+        if not stop._ok:
+            stop._defused = True
+            raise stop._value
+        return stop._value

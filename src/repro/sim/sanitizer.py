@@ -15,9 +15,11 @@ accesses to the same shared object are a **schedule race** when
 The sanitizer maintains vector clocks per *task* (a process generator, a
 timer-callback dispatch, or the root context outside any dispatch) and a
 FastTrack-style per-field access history.  It is armed per engine with
-:meth:`~repro.sim.core.Engine.enable_sanitizer`; disarmed engines run
-the untouched fast path -- the only standing cost in shared-state layers
-is an ``ACTIVE is None`` check at each tagged call site.
+:meth:`~repro.sim.core.Engine.enable_sanitizer`, which holds every
+schedule entry as a ``(sanitizer.dispatch, (entry,))`` timer cell, so
+the engine's drain loop has no sanitizer branch -- the only standing
+cost in shared-state layers is an ``ACTIVE is None`` check at each
+tagged call site.
 
 Call sites tag accesses with::
 
@@ -150,11 +152,13 @@ class Sanitizer:
     def dispatch(self, entry: Any) -> None:
         """Fire one schedule entry with happens-before attribution.
 
-        Mirrors ``Engine._dispatch`` (minus Timeout recycling): timer
-        cells run as fresh tasks joined from their scheduler's clock;
-        event callbacks owned by a :class:`Process` resume that
-        process's long-lived task; other callbacks (conditions) run as
-        ephemeral tasks carrying the trigger context forward.
+        Called as the timer cell the engine wraps around *entry*, so it
+        raises an unhandled failure as the drain loop would (and a wrapped
+        Timeout is never recycled).  Timer cells run as fresh tasks
+        joined from their scheduler's clock; event callbacks owned by a
+        :class:`Process` resume that process's long-lived task; other
+        callbacks (conditions) run as ephemeral tasks carrying the
+        trigger context forward.
         """
         ctx = self._pending.pop(id(entry), None)
         if entry.__class__ is tuple:

@@ -2,6 +2,7 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.sim import Engine, Interrupt
+from repro.sim.core import _HALT
 
 
 @pytest.fixture
@@ -289,3 +290,69 @@ class TestEvents:
         assert eng.peek() == float("inf")
         eng.timeout(4)
         assert eng.peek() == 4
+
+
+class TestStopEventHygiene:
+    """run(until=<event>) and step() stop the drain with a halt key; it
+    must never outlive the call that pushed it."""
+
+    def test_run_out_of_events_unhooks_the_stop_event(self, eng):
+        ev = eng.event()
+        eng.call_later(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            eng.run(until=ev)
+        assert ev.callbacks == []
+        log = []
+        eng.call_later(1.0, ev.succeed, "late")
+        eng.call_later(2.0, log.append, "after")
+        eng.run()                       # ev fires mid-run: no early stop
+        assert ev.processed
+        assert log == ["after"]
+        assert eng.now == 3.0
+
+    @pytest.mark.parametrize("drive", ["run_until", "step"])
+    def test_failed_event_leaves_no_halt_key(self, eng, drive):
+        boom = eng.event()
+        boom.fail(ValueError("boom"))   # undefused, fires at t=0
+        log = []
+        eng.call_later(0.0, log.append, "same-time")
+        eng.call_later(2.0, log.append, "later")
+        with pytest.raises(ValueError):
+            if drive == "step":
+                eng.step()
+            else:
+                eng.run(until=boom)
+        assert _HALT not in eng._keys
+        assert eng.peek() == 0.0
+        eng.run()
+        assert log == ["same-time", "later"]
+        assert eng.peek() == float("inf")
+
+    def test_failed_last_entry_leaves_next_real_time(self, eng):
+        boom = eng.event()
+        boom.fail(ValueError("boom"))
+        eng.call_later(2.0, lambda: None)
+        with pytest.raises(ValueError):
+            eng.step()
+        assert _HALT not in eng._keys
+        assert eng.peek() == 2.0
+        eng.run()
+        assert eng.now == 2.0
+
+    def test_step_then_run_until_event_keeps_fifo(self, eng):
+        log = []
+        eng.call_at(1.0, log.append, "a")
+        eng.call_at(1.0, log.append, "b")
+        stop = eng.timeout(1.0, value="stop")
+        eng.call_at(1.0, log.append, "c")
+        eng.call_at(1.0, log.append, "d")
+        eng.step()
+        assert log == ["a"]
+        assert eng.run(until=stop) == "stop"
+        assert log == ["a", "b"]
+        eng.step()
+        assert log == ["a", "b", "c"]
+        eng.call_at(1.0, log.append, "e")   # same key, still-live bucket
+        eng.run()
+        assert log == ["a", "b", "c", "d", "e"]
+        assert eng.events_dispatched == 6

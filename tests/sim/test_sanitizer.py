@@ -195,31 +195,6 @@ def test_clean_run_reports_ok():
     assert "no races" in san.report()
 
 
-def test_instrumented_loop_matches_fast_path_results():
-    def world(env: Engine) -> list[float]:
-        times = []
-
-        def worker(delay):
-            yield env.timeout(delay)
-            times.append(env.now)
-
-        for d in (3.0, 1.0, 2.0, 1.0):
-            env.process(worker(d), name=f"w{d}")
-        env.run()
-        return times
-
-    plain = Engine()
-    fast = world(plain)
-
-    instrumented = Engine()
-    instrumented.enable_sanitizer()
-    slow = world(instrumented)
-    instrumented.disable_sanitizer()
-
-    assert fast == slow
-    assert plain.events_dispatched == instrumented.events_dispatched
-
-
 def test_run_returning_is_a_synchronization_barrier():
     # the caller resumes only after every dispatched event finished, so
     # reading shared state between two run() calls -- at the very
