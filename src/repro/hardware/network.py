@@ -12,6 +12,12 @@ to distinct nodes run at full rate.
 Flows are kept in insertion order, so flows that finish (or are failed) at
 the same instant are handled in the order they started.
 
+The model starts no kernel process: the completion timer and every
+delivery (a finished flow's completion after propagation latency, a
+loopback copy, a drop, a zero-byte transfer) are ``call_later`` timer
+cells.  Each rate change schedules a new timer cell; the one it
+supersedes still fires, but as a no-op that finds its token stale.
+
 Loopback transfers (src == dst) bypass the NIC at memory-copy speed.
 """
 
@@ -211,33 +217,17 @@ class Network:
         done = self.engine.event()
         if src == dst:
             # Loopback: latency-free memcpy, not subject to NIC contention.
-            dur = nbytes / LOOPBACK_RATE
-
-            def _loop():
-                yield self.engine.timeout(dur)
-                self.bytes_delivered += nbytes
-                done.succeed(dur)
-
-            self.engine.process(_loop(), name=f"loopback:{src}")
+            self.engine.call_later(nbytes / LOOPBACK_RATE,
+                                   self._deliver_loopback, done, nbytes)
             return done
 
         if not self.reachable(src, dst):
-            def _drop():
-                yield self.engine.timeout(self.cal.net_latency)
-                done.fail(PartitionError(f"{src}->{dst}: unreachable"))
-                done.defuse()
-
-            self.engine.process(_drop(), name=f"xfer-drop:{src}->{dst}")
+            self.engine.call_later(self.cal.net_latency, self._drop, done, src, dst)
             return done
 
         if nbytes == 0:
             dur = self._latency(src, dst)
-
-            def _empty():
-                yield self.engine.timeout(dur)
-                done.succeed(dur)
-
-            self.engine.process(_empty(), name=f"xfer0:{src}->{dst}")
+            self.engine.call_later(dur, done.succeed, dur)
             return done
 
         links = (self._links[f"{src}:up"], self._links[f"{dst}:down"])
@@ -254,9 +244,14 @@ class Network:
     def active_flow_count(self) -> int:
         return len(self._flows)
 
-    def flow_rate(self, src: str, dst: str) -> float:
-        """Current aggregate rate of all flows src->dst (monitoring aid)."""
-        return sum(f.rate for f in self._flows if f.src == src and f.dst == dst)
+    def _deliver_loopback(self, done: Event, nbytes: float) -> None:
+        self.bytes_delivered += nbytes
+        done.succeed(nbytes / LOOPBACK_RATE)
+
+    @staticmethod
+    def _drop(done: Event, src: str, dst: str) -> None:
+        done.fail(PartitionError(f"{src}->{dst}: unreachable"))
+        done.defuse()
 
     # -- fluid model internals ----------------------------------------------------
 
@@ -337,30 +332,24 @@ class Network:
             for f in self._flows
             if f.rate > 0 and f.remaining / f.rate <= next_done * (1 + 1e-9)
         ]
+        self.engine.call_later(next_done, self._on_timer, token, expected)
 
-        def _timer():
-            yield self.engine.timeout(next_done)
-            if token != self._timer_token:
-                return  # superseded by a newer rate change
-            self._advance()
-            for f in expected:
-                f.remaining = 0.0
-            finished = [f for f in self._flows if f.remaining <= 1e-9]
-            for f in finished:
-                self._remove(f)
-                self.bytes_delivered += f.size
-                self._complete(f)
-            self._recompute_and_schedule()
-
-        self.engine.process(_timer(), name="net-timer")
+    def _on_timer(self, token: int, expected: list[Flow]) -> None:
+        """Finish the flows a rate change scheduled to complete now."""
+        if token != self._timer_token:
+            return  # superseded by a newer rate change
+        self._advance()
+        for f in expected:
+            f.remaining = 0.0
+        finished = [f for f in self._flows if f.remaining <= 1e-9]
+        for f in finished:
+            self._remove(f)
+            self.bytes_delivered += f.size
+            self._complete(f)
+        self._recompute_and_schedule()
 
     def _complete(self, flow: Flow) -> None:
         """Deliver the completion event after propagation latency."""
         latency = self._latency(flow.src, flow.dst)
-        duration = self.engine.now - flow.started + latency
-
-        def _finish():
-            yield self.engine.timeout(latency)
-            flow.done.succeed(duration)
-
-        self.engine.process(_finish(), name=f"xfer-done:{flow.src}->{flow.dst}")
+        self.engine.call_later(latency, flow.done.succeed,
+                               self.engine.now - flow.started + latency)
