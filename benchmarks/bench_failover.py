@@ -11,7 +11,7 @@ zero acknowledged-write loss and zero stale reads.  A same-seed re-run
 must reproduce the history signature bit-for-bit.
 """
 
-from repro import build_ha_cloud
+from repro import build_video_cloud
 from repro.analysis import HistoryRecorder, check_history
 from repro.bench import KernelRate
 from repro.chaos import KillActiveNameNode, PartitionActiveNameNode
@@ -26,7 +26,7 @@ WRITE_GAP = 2.0  # dense enough that writes land inside the outage window
 
 def run_failover(scenario, *, seed=SEED, rate=None):
     """One traffic run under *scenario*; returns deterministic metrics."""
-    vc = build_ha_cloud(n_hosts=8, seed=seed)
+    vc = build_video_cloud(8, seed=seed, ha=True)
     engine = vc.engine
     recorder = HistoryRecorder(lambda: engine.now)
     client = vc.fs.client("node3")

@@ -14,7 +14,7 @@ import pytest
 
 from repro.bench import KernelRate, PortalDriver, VideoCatalog
 from repro.chaos import ReconcileStorm
-from repro.stack import build_reconciled_cloud
+from repro.stack import build_video_cloud
 
 from _util import BenchResult, publish
 
@@ -26,7 +26,7 @@ TAIL = 400.0
 
 
 def build(seed=7):
-    vc = build_reconciled_cloud(seed=seed)
+    vc = build_video_cloud(8, seed=seed, reconcile=True)
     driver = PortalDriver(vc.portal)
     catalog = VideoCatalog(4, seed=2, mean_duration=20)
     vc.run(vc.engine.process(driver.seed(catalog)))
@@ -139,7 +139,7 @@ def test_e_reconcile_storm_convergence(benchmark, capsys):
               f"{report.max_convergence_time():.1f}", rec.sweeps]]))
 
     def kernel():
-        vc = build_reconciled_cloud(seed=3, autoscale=False)
+        vc = build_video_cloud(8, seed=3, reconcile=True, autoscale=False)
         vc.run(until=60.0)
         assert vc.reconciler.report.open_pools() == []
         vc.stop_background()

@@ -21,7 +21,7 @@ from repro.chaos import ChaosMonkey, DiskStall
 from repro.common.units import MiB
 from repro.hardware import Cluster
 from repro.hdfs import Hdfs
-from repro.stack import build_reconciled_cloud, enable_gray_tolerance
+from repro.stack import build_video_cloud, enable_gray_tolerance
 
 from _util import BenchResult, publish
 
@@ -156,12 +156,12 @@ def test_e_tail_hedged_playback_cuts_the_storm_p99(benchmark, capsys):
 
 def test_e_tail_quarantine_roundtrip(benchmark, capsys):
     """Full stack: cordoned inside the storm window, reinstated after."""
-    vc = build_reconciled_cloud(8, seed=11)
+    vc = build_video_cloud(8, seed=11, reconcile=True)
     vc.run(until=60.0)
     rec = vc.reconciler
     assert rec.report.open_pools() == []
 
-    enable_gray_tolerance(vc, probation=20.0)
+    enable_gray_tolerance(vc)
     vc.run(until=120.0)                  # settle detectors + trackers
 
     victim = sorted(vc.fs.datanodes)[0]

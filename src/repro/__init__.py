@@ -17,18 +17,15 @@ The package mirrors the paper's stack:
 * :mod:`repro.fusehdfs`   -- FUSE bridge mounting HDFS
 * :mod:`repro.web`        -- Lighttpd/MySQL analogues + the VOC portal
 * :mod:`repro.chaos`      -- seeded fault injection + recovery reporting
-* :func:`repro.build_video_cloud` -- the whole Figure 14 stack in one call
+* :func:`repro.build_video_cloud` -- the whole Figure 14 stack in one call,
+  with flags for fault tolerance, the self-healing control plane and
+  NameNode HA
 """
 
 from .chaos import ChaosMonkey, ChaosReport
 from .common.calibration import DEFAULT_CALIBRATION, Calibration
 from .hardware import Cluster
-from .stack import (
-    VideoCloud,
-    build_ha_cloud,
-    build_video_cloud,
-    enable_namenode_ha,
-)
+from .stack import VideoCloud, build_video_cloud
 
 __version__ = "1.0.0"
 
@@ -40,7 +37,5 @@ __all__ = [
     "DEFAULT_CALIBRATION",
     "VideoCloud",
     "__version__",
-    "build_ha_cloud",
     "build_video_cloud",
-    "enable_namenode_ha",
 ]

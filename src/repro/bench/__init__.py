@@ -1,7 +1,7 @@
 """Workload generation + load driving for the benchmark harness."""
 
 from .driver import PortalDriver, WorkloadReport
-from .harness import BenchResult, KernelRate, emit, kernel_events_per_sec
+from .harness import BenchResult, KernelRate, emit
 from .workloads import (
     CatalogEntry,
     LatencyStats,
@@ -23,5 +23,4 @@ __all__ = [
     "VideoCatalog",
     "WorkloadReport",
     "emit",
-    "kernel_events_per_sec",
 ]

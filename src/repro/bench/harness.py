@@ -31,7 +31,7 @@ from ..common.errors import ConfigError
 from ..common.tables import format_table
 from ..sim import Engine
 
-__all__ = ["BenchResult", "KernelRate", "emit", "kernel_events_per_sec"]
+__all__ = ["BenchResult", "KernelRate", "emit"]
 
 #: emitted once per process, ahead of the first payload
 _analyzer_header_emitted = False
@@ -155,12 +155,3 @@ class _Measurement:
         elapsed = time.perf_counter() - self._t0
         self._rate.seconds += elapsed
         self._rate.events += self._engine.events_dispatched - self._events0
-
-
-def kernel_events_per_sec(engine: Engine, fn: Callable[[], Any],
-                          ) -> tuple[Any, float]:
-    """Run ``fn()`` and return ``(fn's result, kernel events/sec)``."""
-    rate = KernelRate()
-    with rate.measure(engine):
-        result = fn()
-    return result, rate.events_per_sec

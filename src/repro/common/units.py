@@ -33,26 +33,6 @@ MINUTE = 60.0
 HOUR = 3600.0
 
 
-def fmt_bytes(n: float) -> str:
-    """Human-readable byte count (binary prefixes, two decimals)."""
-    n = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(n) < 1024.0 or unit == "TiB":
-            return f"{n:.2f} {unit}" if unit != "B" else f"{int(n)} B"
-        n /= 1024.0
-    raise AssertionError("unreachable")
-
-
-def fmt_rate(bytes_per_s: float) -> str:
-    """Human-readable transfer rate in decimal bits/second."""
-    bits = bytes_per_s * 8.0
-    for unit in ("b/s", "Kb/s", "Mb/s", "Gb/s"):
-        if abs(bits) < 1000.0 or unit == "Gb/s":
-            return f"{bits:.2f} {unit}"
-        bits /= 1000.0
-    raise AssertionError("unreachable")
-
-
 def fmt_duration(seconds: float) -> str:
     """Human-readable duration: us/ms/s/min as appropriate."""
     if seconds < 0:

@@ -336,7 +336,7 @@ def _apply(nn: NameNode, op: EditOp, now: float) -> None:
 class HaNameNodePair:
     """Active/standby NameNodes replicating through a journal quorum.
 
-    Install with :func:`repro.stack.enable_namenode_ha` (or construct
+    Built by ``repro.build_video_cloud(..., ha=True)`` (or construct
     directly); once attached, ``fs.ha`` is set, every DataNode dual-
     reports to both NameNodes, and all namespace mutations on the active
     are acknowledged only after a majority of journal nodes accepted

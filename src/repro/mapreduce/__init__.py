@@ -3,7 +3,7 @@
 from .faults import NO_FAULTS, FaultModel, TaskAttemptFailed
 from .job import Counters, JobResult, MapReduceJob, partition_for, record_size
 from .jobtracker import JobQueue, JobTracker, MapOutput
-from .library import grep_job, synthetic_scan_job, tokenize, word_count_job
+from .library import grep_job, tokenize, word_count_job
 from .sort import (
     TotalOrderPartitioner,
     run_distributed_sort,
@@ -33,7 +33,6 @@ __all__ = [
     "grep_job",
     "partition_for",
     "record_size",
-    "synthetic_scan_job",
     "tokenize",
     "word_count_job",
 ]

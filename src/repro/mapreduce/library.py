@@ -74,23 +74,3 @@ def grep_job(
         num_reduces=num_reduces,
         output_path=output_path,
     )
-
-
-def synthetic_scan_job(
-    input_paths: list[str], *, num_reduces: int = 1
-) -> MapReduceJob:
-    """Cost-only job over synthetic (sized, payload-free) files."""
-
-    def mapper(_offset: Any, _line: str) -> Iterable[tuple[str, int]]:
-        return ()  # synthetic splits carry no records
-
-    def reducer(key: Any, values: list[Any]) -> Iterable[tuple[Any, Any]]:
-        return ()
-
-    return MapReduceJob(
-        name="synthetic-scan",
-        input_paths=input_paths,
-        mapper=mapper,
-        reducer=reducer,
-        num_reduces=num_reduces,
-    )

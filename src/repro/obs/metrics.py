@@ -276,28 +276,8 @@ class MetricsRegistry:
         family = self.get(name)
         if isinstance(family, Histogram):
             raise ConfigError(
-                f"{name} is a histogram; use family_percentile()")
+                f"{name} is a histogram, not a counter or gauge")
         return sum(child.value for child in family.children())
-
-    def family_percentile(self, name: str, p: float,
-                          default: float = 0.0) -> float:
-        """Exact percentile over a histogram family's pooled samples.
-
-        Pools every label child's observations (e.g. all routes of
-        ``web_request_seconds``) so control loops see one latency number;
-        *default* when the family is missing or empty.
-        """
-        if name not in self._metrics:
-            return default
-        family = self.get(name)
-        if not isinstance(family, Histogram):
-            raise ConfigError(f"{name} is a {family.kind}, not a histogram")
-        pooled = Histogram(name, buckets=family.buckets)
-        for child in family.children():
-            pooled.samples.extend(child.samples)
-        if not pooled.samples:
-            return default
-        return pooled.percentile(p)
 
     # -- exposition ----------------------------------------------------------
 

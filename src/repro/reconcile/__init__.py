@@ -14,7 +14,6 @@ and roll out version upgrades health-gated with automatic rollback.
 from .autoscaler import (
     Autoscaler,
     AutoscalePolicy,
-    p99_latency_signal,
     queue_depth_signal,
     shed_rate_signal,
 )
@@ -24,7 +23,6 @@ from .pools import (
     MemberStatus,
     PoolAdapter,
     TranscodePoolAdapter,
-    VmPoolAdapter,
     WebReplicaPoolAdapter,
 )
 from .reconciler import Action, ActionLog, ConvergenceReport, Reconciler
@@ -46,9 +44,7 @@ __all__ = [
     "PoolSpec",
     "Reconciler",
     "TranscodePoolAdapter",
-    "VmPoolAdapter",
     "WebReplicaPoolAdapter",
-    "p99_latency_signal",
     "queue_depth_signal",
     "shed_rate_signal",
 ]

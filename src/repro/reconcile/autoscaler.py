@@ -2,8 +2,8 @@
 
 "Cost-Efficient and Robust On-Demand Video Transcoding" (PAPERS.md)
 resizes worker pools against deadline pressure; this module reproduces
-the control shape on top of :mod:`repro.obs`: a signal (queue depth, p99
-latency, shed rate -- all read from the shared metrics registry) is
+the control shape on top of :mod:`repro.obs`: a signal (queue depth or
+shed rate, read from the shared metrics registry) is
 compared against high/low watermarks, and only *sustained* pressure
 (``up_after`` / ``down_after`` consecutive sweeps) plus a cooldown moves
 the replica count.  The hysteresis is the point: a storm's first burst
@@ -26,12 +26,6 @@ def queue_depth_signal(metrics: MetricsRegistry,
                        family: str = "admission_queued") -> Signal:
     """Total work queued across every admission controller."""
     return lambda: metrics.family_total(family)
-
-
-def p99_latency_signal(metrics: MetricsRegistry,
-                       family: str = "web_request_seconds") -> Signal:
-    """Pooled p99 request latency in seconds."""
-    return lambda: metrics.family_percentile(family, 99.0)
 
 
 def shed_rate_signal(metrics: MetricsRegistry, clock: Callable[[], float],

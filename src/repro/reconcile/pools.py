@@ -1,7 +1,7 @@
 """Pool adapters: the reconciler's uniform view over heterogeneous pools.
 
-Each adapter translates between one substrate (OpenNebula VMs, HDFS
-DataNodes, transcode workers, web replicas behind the load balancer) and
+Each adapter translates between one substrate (HDFS DataNodes,
+transcode workers, web replicas behind the load balancer) and
 the reconciler's three verbs: *observe* (:meth:`PoolAdapter.members`),
 *add* (:meth:`PoolAdapter.add_member`) and *remove*
 (:meth:`PoolAdapter.remove_member`).  Adapters never decide anything --
@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
 from ..common.errors import ReconcileError
-from ..one.lifecycle import OneState
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..hdfs import Hdfs
-    from ..one import OpenNebula, VmTemplate
     from ..web import LoadBalancer, VideoPortal
 
 #: member phases, in "how alive is it" order
@@ -63,70 +61,6 @@ class PoolAdapter(Protocol):
 def _free_hosts(candidates: list[str], taken: set[str],
                 alive: "dict[str, bool]") -> list[str]:
     return [h for h in candidates if h not in taken and alive.get(h, False)]
-
-
-class VmPoolAdapter:
-    """A pool of OpenNebula VMs instantiated from one template.
-
-    Membership is tagged through VM context (``context["pool"]``), so
-    resubmitted or migrated VMs stay members and retired ones drop out.
-    """
-
-    def __init__(self, cloud: "OpenNebula", pool_name: str,
-                 template: "VmTemplate", *, owner: str = "oneadmin") -> None:
-        self.cloud = cloud
-        self.pool_name = pool_name
-        self.template = template
-        self.owner = owner
-
-    def members(self) -> list[MemberStatus]:
-        out = []
-        for vm in sorted(self.cloud.vm_pool.values(), key=lambda v: v.id):
-            if vm.context.get("pool") != self.pool_name:
-                continue
-            state = vm.state
-            if state in (OneState.DONE, OneState.FAILED, OneState.STOPPED):
-                continue            # gone (retired / awaiting cleanup)
-            if state in (OneState.SHUTDOWN, OneState.EPILOG):
-                phase, reason = "stopping", state.value
-            elif state in (OneState.PENDING, OneState.PROLOG, OneState.BOOT):
-                phase, reason = "starting", state.value
-            elif state is OneState.RUNNING:
-                host = vm.host_name
-                rec = self.cloud.host_record(host) if host else None
-                if rec is not None and rec.host.alive:
-                    phase, reason = "ready", ""
-                else:
-                    phase, reason = "unhealthy", f"host {host} down"
-            else:                   # SAVE/SUSPENDED/RESUME/MIGRATE
-                phase, reason = "starting", state.value
-            out.append(MemberStatus(
-                name=vm.name, version=str(vm.context.get("pool_version", "")),
-                phase=phase, host=vm.host_name, reason=reason))
-        return out
-
-    def add_member(self, version: str) -> str | None:
-        from ..common.errors import ReproError
-        try:
-            vm = self.cloud.instantiate(self.template, owner=self.owner)
-        except ReproError:
-            return None             # quota / ACL / image trouble: no room
-        vm.context["pool"] = self.pool_name
-        vm.context["pool_version"] = version
-        return vm.name
-
-    def remove_member(self, name: str, *, drain: bool) -> bool:
-        for vm in self.cloud.vm_pool.values():
-            if vm.name == name:
-                break
-        else:
-            return True             # already gone
-        if drain and vm.state is OneState.RUNNING:
-            self.cloud.engine.process(
-                self.cloud.shutdown_vm(vm), name=f"drain-{vm.name}")
-            return True             # shutdown flow owns it from here
-        self.cloud.retire_vm(vm, reason=f"reconcile:{self.pool_name}")
-        return True
 
 
 class DataNodePoolAdapter:

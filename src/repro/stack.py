@@ -11,6 +11,13 @@
 4. **SaaS** -- the VOC portal (Lighttpd/PHP/MySQL analogues, FUSE mount,
    FFmpeg pipeline, Nutch search, Flowplayer streaming).
 
+Flags then add, as plain blocks in this order, the failure machinery
+(``fault_tolerance``), the self-healing control plane (``reconcile``)
+or NameNode HA (``ha``).  :func:`enable_gray_tolerance` is the one
+run-time retrofit: it arms the gray-failure defences on a running
+reconciled stack.  Sizes and periods are the module constants below;
+only the flags are settable.
+
 Everything shares one event engine, so cross-layer experiments compose --
 e.g. live-migrating a VM while an upload converts.
 """
@@ -53,6 +60,36 @@ from .reconcile import (
 from .sim import Engine, Event
 from .virt import DiskImage
 from .web import LoadBalancer, VideoPortal
+
+#: HDFS layout of every stack
+REPLICATION = 2
+BLOCK_SIZE = 32 * MiB
+
+#: ``reconcile``: declared web replicas and transcode workers, the
+#: reconciler's sweep period, and the portal's admission capacity
+WEB_REPLICAS = 2
+TRANSCODE_POOL = 2
+RECONCILE_PERIOD = 5.0
+ADMISSION_CAPACITY = 16
+
+#: ``ha``: the standby's journal tail period, the failover controller's
+#: sweep period and the minimum gap between two failovers
+HA_TAIL_PERIOD = 1.0
+FAILOVER_PERIOD = 1.0
+FAILOVER_MIN_INTERVAL = 30.0
+
+#: :func:`enable_gray_tolerance`: suspicion threshold and sweeps to
+#: quarantine, probation before reinstatement, hedging budget, the
+#: probes that feed the detectors, and when silence condemns a DataNode
+PHI_THRESHOLD = 8.0
+QUARANTINE_SWEEPS = 2
+PROBATION = 20.0
+HEDGE_RATIO = 0.2
+HEDGE_BURST = 8.0
+PROBE_BYTES = 4 * MiB
+LB_PROBE_INTERVAL = 1.0
+PHI_DEAD_THRESHOLD = 12.0
+PHI_DEAD_SWEEPS = 2
 
 
 @dataclass
@@ -101,10 +138,11 @@ def build_video_cloud(
     seed: int = 0,
     cal: Calibration | None = None,
     hypervisor: str = "kvm",
-    replication: int = 2,
-    block_size: int = 32 * MiB,
     deploy_vms: bool = True,
     fault_tolerance: bool = False,
+    reconcile: bool = False,
+    autoscale: bool = True,
+    ha: bool = False,
 ) -> VideoCloud:
     """Stand the whole paper stack up; returns once everything is RUNNING.
 
@@ -120,9 +158,36 @@ def build_video_cloud(
     hosts, and a seeded ChaosMonkey (sharing the hook's report) is handed
     back for fault injection.  Call ``stop_background()`` afterwards so
     the engine can drain.
+
+    ``reconcile`` (at least 6 hosts) adds the closed-loop control plane
+    of :mod:`repro.reconcile`: a :class:`~repro.web.LoadBalancer` in
+    front of the portal, a :class:`~repro.reconcile.FleetSpec` of three
+    pools (web replicas, HDFS DataNodes, transcode workers) and a
+    :class:`~repro.reconcile.Reconciler` that converges the fleet onto
+    it each sweep -- replacing dead members, scaling on admission
+    pressure (``autoscale``) and rolling upgrades when a pool's version
+    moves.  Only some hosts are seeded into each pool, so the reconciler
+    has headroom to scale and to place replacements.
+
+    ``ha`` (at least 5 hosts) adds NameNode HA: a standby NameNode on
+    the last host (which the NameNode and web tier both avoid), a
+    three-node journal quorum (NameNode host, standby, web host), the
+    standby tailer and a
+    :class:`~repro.reconcile.FailoverController`.  The portal gains an
+    ``hdfs-ha`` health probe and the ChaosMonkey is pointed at the pair,
+    so ``KillActiveNameNode``-style scenarios resolve the active at fire
+    time.
+
+    ``reconcile`` and ``ha`` each imply ``fault_tolerance=True`` and
+    ``deploy_vms=False``; they cannot be combined.
     """
-    if n_hosts < 4:
-        raise ConfigError("the full stack needs at least 4 hosts")
+    if reconcile and ha:
+        raise ConfigError("reconcile and ha cannot be combined")
+    if reconcile or ha:
+        deploy_vms, fault_tolerance = False, True
+    minimum = 6 if reconcile else 5 if ha else 4
+    if n_hosts < minimum:
+        raise ConfigError(f"this stack needs at least {minimum} hosts")
     cluster = Cluster(n_hosts, seed=seed, cal=cal)
     front = cluster.host_names[0]
     compute = cluster.host_names[1:]
@@ -147,7 +212,7 @@ def build_video_cloud(
 
     fs = Hdfs(
         cluster, namenode_host=front, datanode_hosts=compute,
-        replication=replication, block_size=block_size,
+        replication=REPLICATION, block_size=BLOCK_SIZE,
     )
     portal = VideoPortal(
         cluster, fs, web_host=compute[0], transcode_workers=compute[1:] or compute,
@@ -163,133 +228,96 @@ def build_video_cloud(
         return None
 
     portal.add_health_provider("scheduler", _scheduler_health)
-    monitoring = None
-    ft = None
-    chaos = None
+    vc = VideoCloud(cluster=cluster, cloud=cloud, services=services,
+                    fs=fs, portal=portal)
     if fault_tolerance:
         fs.start()
-        monitoring = MonitoringService(cloud, period=cluster.cal.hadoop.heartbeat_interval)
-        chaos = ChaosMonkey(cluster, cloud=cloud, fs=fs, portal=portal)
-        ft = FaultToleranceHook(cloud, monitoring, report=chaos.report)
-        ft.start()
-    return VideoCloud(cluster=cluster, cloud=cloud, services=services,
-                      fs=fs, portal=portal, monitoring=monitoring,
-                      ft=ft, chaos=chaos)
+        vc.monitoring = MonitoringService(
+            cloud, period=cluster.cal.hadoop.heartbeat_interval)
+        vc.chaos = ChaosMonkey(cluster, cloud=cloud, fs=fs, portal=portal)
+        vc.ft = FaultToleranceHook(cloud, vc.monitoring, report=vc.chaos.report)
+        vc.ft.start()
 
+    if reconcile:
+        # no per-request budget: bulk uploads legitimately run long, and
+        # the autoscaler (not a deadline) is the pressure-relief mechanism
+        portal.enable_overload_control(capacity=ADMISSION_CAPACITY,
+                                       request_budget=None)
+        # the web tier moves behind a load balancer; the primary server
+        # becomes backend #1 and the reconciler grows the pool from there
+        lb = LoadBalancer(cluster)
+        lb.add_backend(portal.web_host, portal.server)
+        portal.frontend = lb
+        # trim the transcode pool to its declared size (the portal seeds
+        # every compute host); the reconciler owns it from here on
+        del portal.transcoder.workers[TRANSCODE_POOL:]
+        n_dn = max(REPLICATION, len(compute) - 2)
+        for name in list(fs.datanodes)[n_dn:]:
+            fs.drop_datanode(name)
 
-def build_reconciled_cloud(
-    n_hosts: int = 8,
-    *,
-    seed: int = 0,
-    cal: Calibration | None = None,
-    web_replicas: int = 2,
-    datanodes: int | None = None,
-    transcode_pool: int = 2,
-    replication: int = 2,
-    reconcile_period: float = 5.0,
-    autoscale: bool = True,
-    admission_capacity: int = 16,
-) -> VideoCloud:
-    """The self-healing variant: the fault-tolerant stack plus the
-    closed-loop control plane of :mod:`repro.reconcile`.
+        spec = FleetSpec(pools=(
+            PoolSpec(name="web", replicas=WEB_REPLICAS, version="v1",
+                     min_replicas=1, max_replicas=len(compute),
+                     health=HealthPolicy(unhealthy_after=2,
+                                         hung_after=12 * RECONCILE_PERIOD,
+                                         backoff_base=RECONCILE_PERIOD)),
+            PoolSpec(name="datanodes", replicas=n_dn, version="v1",
+                     min_replicas=REPLICATION, max_replicas=len(compute)),
+            PoolSpec(name="transcode", replicas=TRANSCODE_POOL, version="v1",
+                     min_replicas=1, max_replicas=len(compute)),
+        ))
+        adapters = {
+            "web": WebReplicaPoolAdapter(portal, lb, "web", compute),
+            "datanodes": DataNodePoolAdapter(fs, "datanodes", compute),
+            "transcode": TranscodePoolAdapter(portal, "transcode", compute),
+        }
+        autoscalers = []
+        if autoscale:
+            engine = cluster.engine
+            autoscalers = [
+                Autoscaler(AutoscalePolicy(pool="web", high=8.0, low=1.0,
+                                           up_after=2, down_after=6,
+                                           cooldown=6 * RECONCILE_PERIOD),
+                           queue_depth_signal(cluster.metrics)),
+                Autoscaler(AutoscalePolicy(pool="transcode", high=0.5, low=0.05,
+                                           up_after=2, down_after=6,
+                                           cooldown=6 * RECONCILE_PERIOD),
+                           shed_rate_signal(cluster.metrics,
+                                            lambda: engine.now)),
+            ]
+        vc.lb = lb
+        vc.reconciler = Reconciler(
+            cluster, spec, adapters, autoscalers=autoscalers,
+            period=RECONCILE_PERIOD, cloud=cloud,
+        )
+        vc.reconciler.start()
 
-    On top of :func:`build_video_cloud` (``fault_tolerance=True``,
-    ``deploy_vms=False``) this stands up a :class:`~repro.web.LoadBalancer`
-    in front of the portal, declares a :class:`~repro.reconcile.FleetSpec`
-    with three pools (web replicas, HDFS DataNodes, transcode workers),
-    and starts a :class:`~repro.reconcile.Reconciler` that converges the
-    observed fleet onto the spec each *reconcile_period* -- replacing dead
-    members, scaling on admission-controller pressure (*autoscale*), and
-    rolling upgrades when the spec's version moves.  Only some hosts are
-    seeded into each pool so the reconciler has headroom to scale and to
-    place replacements.
-    """
-    if n_hosts < 6:
-        raise ConfigError("the reconciled stack needs at least 6 hosts")
-    vc = build_video_cloud(
-        n_hosts, seed=seed, cal=cal, replication=replication,
-        deploy_vms=False, fault_tolerance=True,
-    )
-    cluster, cloud, fs, portal = vc.cluster, vc.cloud, vc.fs, vc.portal
-    compute = cluster.host_names[1:]
-    # no per-request budget: bulk uploads legitimately run long, and the
-    # autoscaler (not a deadline) is the pressure-relief mechanism here
-    portal.enable_overload_control(capacity=admission_capacity,
-                                   request_budget=None)
+    if ha:
+        standby = cluster.host_names[-1]
+        pair = HaNameNodePair(fs, standby_host=standby,
+                              journal_hosts=[front, standby, compute[0]],
+                              tail_period=HA_TAIL_PERIOD)
+        pair.start()
+        vc.failover = FailoverController(pair, period=FAILOVER_PERIOD,
+                                         min_interval=FAILOVER_MIN_INTERVAL)
+        vc.failover.start()
 
-    # the web tier moves behind a load balancer; the primary server
-    # becomes backend #1 and the reconciler grows the pool from there
-    lb = LoadBalancer(cluster)
-    lb.add_backend(portal.web_host, portal.server)
-    portal.frontend = lb
+        def _ha_health() -> str | None:
+            reason = pair.active_quorum_degraded()
+            if reason is not None:
+                return reason
+            if not pair.caught_up():
+                return "standby lagging behind the journal quorum"
+            return None
 
-    # trim the transcode pool to its declared size (build_video_cloud
-    # seeds every compute host); the reconciler owns it from here on
-    del portal.transcoder.workers[transcode_pool:]
-
-    n_dn = (datanodes if datanodes is not None
-            else max(replication, len(compute) - 2))
-    if not replication <= n_dn <= len(compute):
-        raise ConfigError(
-            f"datanodes {n_dn} outside [{replication}, {len(compute)}]")
-    for name in list(fs.datanodes)[n_dn:]:
-        fs.drop_datanode(name)
-
-    spec = FleetSpec(pools=(
-        PoolSpec(name="web", replicas=web_replicas, version="v1",
-                 min_replicas=1, max_replicas=len(compute),
-                 health=HealthPolicy(unhealthy_after=2,
-                                     hung_after=12 * reconcile_period,
-                                     backoff_base=reconcile_period)),
-        PoolSpec(name="datanodes", replicas=n_dn, version="v1",
-                 min_replicas=replication, max_replicas=len(compute)),
-        PoolSpec(name="transcode", replicas=transcode_pool, version="v1",
-                 min_replicas=1, max_replicas=len(compute)),
-    ))
-    adapters = {
-        "web": WebReplicaPoolAdapter(portal, lb, "web", compute),
-        "datanodes": DataNodePoolAdapter(fs, "datanodes", compute),
-        "transcode": TranscodePoolAdapter(portal, "transcode", compute),
-    }
-    autoscalers = []
-    if autoscale:
-        engine = cluster.engine
-        autoscalers = [
-            Autoscaler(AutoscalePolicy(pool="web", high=8.0, low=1.0,
-                                       up_after=2, down_after=6,
-                                       cooldown=6 * reconcile_period),
-                       queue_depth_signal(cluster.metrics)),
-            Autoscaler(AutoscalePolicy(pool="transcode", high=0.5, low=0.05,
-                                       up_after=2, down_after=6,
-                                       cooldown=6 * reconcile_period),
-                       shed_rate_signal(cluster.metrics,
-                                        lambda: engine.now)),
-        ]
-    reconciler = Reconciler(
-        cluster, spec, adapters, autoscalers=autoscalers,
-        period=reconcile_period, cloud=cloud,
-    )
-    reconciler.start()
-    vc.lb = lb
-    vc.reconciler = reconciler
+        portal.add_health_provider("hdfs-ha", _ha_health)
+        vc.chaos.ha = pair
+        vc.ha = pair
     return vc
 
 
-def enable_gray_tolerance(
-    vc: VideoCloud,
-    *,
-    phi_threshold: float = 8.0,
-    quarantine_sweeps: int = 2,
-    probation: float = 60.0,
-    hedge_ratio: float = 0.2,
-    hedge_burst: float = 8.0,
-    probe_bytes: int = 4 * MiB,
-    lb_probe_interval: float = 1.0,
-    phi_dead_threshold: float = 12.0,
-    phi_dead_sweeps: int = 2,
-    breaker_latency: float | None = None,
-) -> None:
-    """Retrofit the gray-failure defences onto a running stack.
+def enable_gray_tolerance(vc: VideoCloud) -> None:
+    """Arm the gray-failure defences on a running reconciled stack.
 
     Wires together the whole tail-tolerance story:
 
@@ -299,137 +327,43 @@ def enable_gray_tolerance(
       quarantined while only true silence condemns it;
     * block reads hedge against the EWMA tail
       (:meth:`~repro.hdfs.Hdfs.enable_hedged_reads`);
-    * when the stack has a load balancer, backends get probe-fed
-      suspicion gating and hedged GET dispatch;
-    * when the stack has a reconciler, it watches both suspicion banks
-      and quarantines slow nodes -- cordoned in the cloud, drained at
-      the load balancer -- with automatic probation reinstatement.
+    * load-balancer backends get probe-fed suspicion gating and hedged
+      GET dispatch;
+    * the reconciler watches both suspicion banks and quarantines slow
+      nodes -- cordoned in the cloud, drained at the load balancer --
+      with automatic probation reinstatement.
+
+    The stack must have been built with ``reconcile=True``.
     """
-    fs = vc.fs
+    rec, lb, fs = vc.reconciler, vc.lb, vc.fs
+    if rec is None or lb is None:
+        raise ConfigError("gray tolerance needs a stack built with reconcile=True")
     bank = fs.enable_gray_detection(
-        phi_dead_threshold=phi_dead_threshold,
-        phi_dead_sweeps=phi_dead_sweeps,
-        probe_bytes=probe_bytes,
-        breaker_latency=breaker_latency,
+        phi_dead_threshold=PHI_DEAD_THRESHOLD,
+        phi_dead_sweeps=PHI_DEAD_SWEEPS,
+        probe_bytes=PROBE_BYTES,
     )
-    fs.enable_hedged_reads(ratio=hedge_ratio, burst=hedge_burst)
-    if vc.reconciler is not None:
-        vc.reconciler.watch_suspicion(
-            "datanodes-gray", bank, threshold=phi_threshold,
-            sweeps=quarantine_sweeps, probation=probation,
-        )
-    if vc.lb is not None:
-        lb = vc.lb
-        lb_bank = lb.enable_gray_gate(
-            threshold=phi_threshold, interval=lb_probe_interval,
-            probe_from=fs.namenode_host,
-        )
-        lb.enable_hedged_dispatch(ratio=hedge_ratio, burst=hedge_burst)
-        if vc.reconciler is not None:
-
-            def _drain(name: str) -> None:
-                if name in lb.backends and name not in lb.draining:
-                    lb.drain(name)
-
-            def _undrain(name: str) -> None:
-                if name in lb.backends:
-                    lb.undrain(name)
-
-            vc.reconciler.watch_suspicion(
-                "web-gray", lb_bank, threshold=phi_threshold,
-                sweeps=quarantine_sweeps, probation=probation,
-                on_quarantine=_drain, on_reinstate=_undrain,
-            )
-
-
-def enable_namenode_ha(
-    vc: VideoCloud,
-    *,
-    standby_host: str | None = None,
-    journal_hosts: tuple[str, ...] | None = None,
-    policy: HealthPolicy | None = None,
-    tail_period: float = 1.0,
-    period: float = 1.0,
-    min_interval: float = 30.0,
-) -> HaNameNodePair:
-    """Retrofit NameNode HA onto a running stack.
-
-    Stands up a standby NameNode (default: the last host, which the
-    NameNode and web tier both avoid), a three-node journal quorum
-    (default: NameNode host + standby + the first other compute host),
-    the standby tailer, and a :class:`~repro.reconcile.FailoverController`
-    wired into the reconciler's action log when one exists.  The portal
-    gains an ``hdfs-ha`` health probe and any ChaosMonkey is pointed at
-    the pair so ``KillActiveNameNode``-style scenarios can resolve the
-    active at fire time.
-    """
-    if vc.ha is not None:
-        raise ConfigError("NameNode HA is already enabled on this stack")
-    names = vc.cluster.host_names
-    active = vc.fs.namenode_host
-    if standby_host is None:
-        standby_host = names[-1]
-    if journal_hosts is None:
-        others = [h for h in names if h not in (active, standby_host)]
-        if not others:
-            raise ConfigError("no spare host to complete a 3-node quorum")
-        journal_hosts = (active, standby_host, others[0])
-    pair = HaNameNodePair(vc.fs, standby_host=standby_host,
-                          journal_hosts=journal_hosts,
-                          tail_period=tail_period)
-    pair.start()
-    actions = vc.reconciler.actions if vc.reconciler is not None else None
-    controller = FailoverController(pair, policy=policy, period=period,
-                                    actions=actions,
-                                    min_interval=min_interval)
-    controller.start()
-
-    def _ha_health() -> str | None:
-        reason = pair.active_quorum_degraded()
-        if reason is not None:
-            return reason
-        if not pair.caught_up():
-            return "standby lagging behind the journal quorum"
-        return None
-
-    vc.portal.add_health_provider("hdfs-ha", _ha_health)
-    if vc.chaos is not None:
-        vc.chaos.ha = pair
-    vc.ha = pair
-    vc.failover = controller
-    return pair
-
-
-def build_ha_cloud(
-    n_hosts: int = 8,
-    *,
-    seed: int = 0,
-    cal: Calibration | None = None,
-    replication: int = 2,
-    block_size: int = 32 * MiB,
-    standby_host: str | None = None,
-    journal_hosts: tuple[str, ...] | None = None,
-    tail_period: float = 1.0,
-    failover_period: float = 1.0,
-    min_interval: float = 30.0,
-) -> VideoCloud:
-    """The highly-available variant: fault-tolerant stack + NameNode HA.
-
-    :func:`build_video_cloud` with ``fault_tolerance=True`` (heartbeats,
-    replication monitor, FT hook, chaos monkey) and ``deploy_vms=False``,
-    then :func:`enable_namenode_ha` on top.  The returned cloud's
-    ``vc.ha`` / ``vc.failover`` give direct handles on the pair and its
-    controller; ``stop_background()`` tears all of it down.
-    """
-    if n_hosts < 5:
-        raise ConfigError("the HA stack needs at least 5 hosts")
-    vc = build_video_cloud(
-        n_hosts, seed=seed, cal=cal, replication=replication,
-        block_size=block_size, deploy_vms=False, fault_tolerance=True,
+    fs.enable_hedged_reads(ratio=HEDGE_RATIO, burst=HEDGE_BURST)
+    rec.watch_suspicion(
+        "datanodes-gray", bank, threshold=PHI_THRESHOLD,
+        sweeps=QUARANTINE_SWEEPS, probation=PROBATION,
     )
-    enable_namenode_ha(
-        vc, standby_host=standby_host, journal_hosts=journal_hosts,
-        tail_period=tail_period, period=failover_period,
-        min_interval=min_interval,
+    lb_bank = lb.enable_gray_gate(
+        threshold=PHI_THRESHOLD, interval=LB_PROBE_INTERVAL,
+        probe_from=fs.namenode_host,
     )
-    return vc
+    lb.enable_hedged_dispatch(ratio=HEDGE_RATIO, burst=HEDGE_BURST)
+
+    def _drain(name: str) -> None:
+        if name in lb.backends and name not in lb.draining:
+            lb.drain(name)
+
+    def _undrain(name: str) -> None:
+        if name in lb.backends:
+            lb.undrain(name)
+
+    rec.watch_suspicion(
+        "web-gray", lb_bank, threshold=PHI_THRESHOLD,
+        sweeps=QUARANTINE_SWEEPS, probation=PROBATION,
+        on_quarantine=_drain, on_reinstate=_undrain,
+    )

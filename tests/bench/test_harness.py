@@ -5,7 +5,7 @@ import json
 import pytest
 
 import repro.bench.harness as harness
-from repro.bench import BenchResult, KernelRate, emit, kernel_events_per_sec
+from repro.bench import BenchResult, KernelRate, emit
 from repro.common.errors import ConfigError
 from repro.sim import Engine
 
@@ -115,18 +115,3 @@ class TestKernelRate:
         with rate.measure(eng):
             eng.run()
         assert rate.events == 1
-
-
-class TestKernelEventsPerSec:
-    def test_returns_result_and_rate(self):
-        eng = Engine()
-        seen = []
-        eng.call_later(2.0, seen.append, "x")
-
-        def drive():
-            eng.run()
-            return len(seen)
-
-        result, eps = kernel_events_per_sec(eng, drive)
-        assert result == 1
-        assert eps > 0

@@ -16,13 +16,13 @@ from repro.chaos import (
 )
 from repro.common.errors import ConfigError
 from repro.hardware import Cluster
-from repro.stack import build_ha_cloud
+from repro.stack import build_video_cloud
 
 
 def run_with_traffic(scenarios, *, seed=0, until=400.0, writes=16):
     """Build an HA cloud, run *scenarios* against seeded traffic, and
     return ``(vc, report, acked_paths)`` after checking the history."""
-    vc = build_ha_cloud(n_hosts=8, seed=seed)
+    vc = build_video_cloud(8, seed=seed, ha=True)
     engine = vc.engine
     recorder = HistoryRecorder(lambda: engine.now)
     client = vc.fs.client("node3")
@@ -122,7 +122,7 @@ class TestDeterminism:
     def test_same_seed_same_history_signature(self):
         sigs = []
         for _ in range(2):
-            vc = build_ha_cloud(n_hosts=8, seed=42)
+            vc = build_video_cloud(8, seed=42, ha=True)
             engine = vc.engine
             recorder = HistoryRecorder(lambda: engine.now)
             client = vc.fs.client("node2")

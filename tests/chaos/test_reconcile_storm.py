@@ -4,11 +4,11 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.chaos import ReconcileStorm
-from repro.stack import build_reconciled_cloud
+from repro.stack import build_video_cloud
 
 
 def run_storm(seed, *, autoscale=False, settle=60.0, tail=600.0):
-    vc = build_reconciled_cloud(seed=seed, autoscale=autoscale)
+    vc = build_video_cloud(8, seed=seed, reconcile=True, autoscale=autoscale)
     vc.run(until=settle)
     storm = ReconcileStorm(crash="node2", isolated=("node5",), at=0.0,
                            heal_after=180.0)
@@ -62,7 +62,7 @@ class TestConvergence:
 
 class TestUpgradeUnderFire:
     def test_crashed_surge_member_triggers_rollback(self):
-        vc = build_reconciled_cloud(seed=9, autoscale=False)
+        vc = build_video_cloud(8, seed=9, reconcile=True, autoscale=False)
         vc.run(until=60.0)
         rec = vc.reconciler
         assert rec.report.open_pools() == []
@@ -88,7 +88,7 @@ class TestUpgradeUnderFire:
         vc.cluster.run()
 
     def test_healthy_upgrade_completes(self):
-        vc = build_reconciled_cloud(seed=9, autoscale=False)
+        vc = build_video_cloud(8, seed=9, reconcile=True, autoscale=False)
         vc.run(until=60.0)
         rec = vc.reconciler
         rec.apply(rec.spec.with_version("transcode", "v2"))

@@ -17,7 +17,7 @@ from repro.analysis import HistoryRecorder, check_history
 from repro.chaos import ChaosMonkey, KillActiveNameNode, ReconcileStorm
 from repro.hardware import Cluster
 from repro.sim import fuzz_schedules
-from repro.stack import build_ha_cloud, build_reconciled_cloud
+from repro.stack import build_video_cloud
 
 #: shuffled schedules per storm (the PR-9 acceptance floor)
 SHUFFLES = 8
@@ -47,7 +47,7 @@ def _chaos_storm(shuffle_seed: "int | None") -> dict:
 
 
 def _failover_storm(shuffle_seed: "int | None") -> dict:
-    vc = build_ha_cloud(n_hosts=8, seed=5)
+    vc = build_video_cloud(8, seed=5, ha=True)
     if shuffle_seed is not None:
         vc.engine.enable_schedule_shuffle(shuffle_seed)
     engine = vc.engine
@@ -90,7 +90,7 @@ def _failover_storm(shuffle_seed: "int | None") -> dict:
 
 
 def _reconcile_storm(shuffle_seed: "int | None") -> dict:
-    vc = build_reconciled_cloud(seed=7, autoscale=False)
+    vc = build_video_cloud(8, seed=7, reconcile=True, autoscale=False)
     if shuffle_seed is not None:
         vc.engine.enable_schedule_shuffle(shuffle_seed)
     vc.run(until=60.0)

@@ -3,9 +3,7 @@ from repro.common.units import (
     GiB,
     KiB,
     MiB,
-    fmt_bytes,
     fmt_duration,
-    fmt_rate,
 )
 
 
@@ -18,22 +16,6 @@ def test_binary_prefixes_are_powers_of_two():
 def test_network_rates_are_bytes_per_second():
     # 1 Gb/s == 125 MB/s
     assert Gbps == 125_000_000
-
-
-def test_fmt_bytes_picks_sane_unit():
-    assert fmt_bytes(512) == "512 B"
-    assert fmt_bytes(2048) == "2.00 KiB"
-    assert fmt_bytes(5 * MiB) == "5.00 MiB"
-    assert fmt_bytes(3.5 * GiB) == "3.50 GiB"
-
-
-def test_fmt_bytes_huge_values_stay_in_tib():
-    assert fmt_bytes(5000 * 1024**4).endswith("TiB")
-
-
-def test_fmt_rate_decimal_bits():
-    assert fmt_rate(125_000_000) == "1.00 Gb/s"
-    assert fmt_rate(125_000) == "1.00 Mb/s"
 
 
 def test_fmt_duration_scales():

@@ -12,7 +12,6 @@ from repro.mapreduce import (
     compute_splits,
     grep_job,
     partition_for,
-    synthetic_scan_job,
     tokenize,
     word_count_job,
 )
@@ -153,15 +152,6 @@ class TestGrepAndSynthetic:
         result = run_job(cluster, fs, grep_job(["/in"], r"cloud[s]?"))
         assert result.output["cloud"] == 3
         assert result.output["clouds"] == 1
-
-    def test_synthetic_job_runs_with_costs_only(self):
-        cluster, fs = make_env(block_size=1 * MiB)
-        cluster.run(cluster.engine.process(
-            fs.client("node1").write_synthetic("/big", 8 * MiB)))
-        result = run_job(cluster, fs, synthetic_scan_job(["/big"]))
-        assert result.output == {}
-        assert result.duration > 0
-        assert result.counters.map_tasks == 8
 
 
 class TestSchedulingAndScaling:

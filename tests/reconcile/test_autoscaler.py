@@ -7,7 +7,6 @@ from repro.hardware import Cluster
 from repro.reconcile import (
     AutoscalePolicy,
     Autoscaler,
-    p99_latency_signal,
     queue_depth_signal,
     shed_rate_signal,
 )
@@ -88,14 +87,6 @@ class TestSignals:
 
     def test_queue_depth_defaults_to_zero(self, cluster):
         assert queue_depth_signal(cluster.metrics)() == 0.0
-
-    def test_p99_pools_all_children(self, cluster):
-        h = cluster.metrics.histogram("web_request_seconds", "lat",
-                                      labels=("server",))
-        for v in range(100):
-            h.labels(server="a").observe(float(v))
-        sig = p99_latency_signal(cluster.metrics)
-        assert sig() >= 90.0
 
     def test_shed_rate_is_delta_based(self, cluster):
         c = cluster.metrics.counter("admission_shed_total", "shed",

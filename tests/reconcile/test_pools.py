@@ -3,16 +3,13 @@
 import pytest
 
 from repro.common.errors import ReconcileError
-from repro.common.units import GiB, MiB
-from repro.one import OneState, VmTemplate
 from repro.reconcile import (
     DataNodePoolAdapter,
     MemberStatus,
     TranscodePoolAdapter,
-    VmPoolAdapter,
     WebReplicaPoolAdapter,
 )
-from repro.stack import build_reconciled_cloud, build_video_cloud
+from repro.stack import build_video_cloud
 
 
 def test_member_status_rejects_unknown_phase():
@@ -22,69 +19,10 @@ def test_member_status_rejects_unknown_phase():
 
 @pytest.fixture()
 def vc():
-    cloud = build_reconciled_cloud(seed=11, autoscale=False)
+    cloud = build_video_cloud(8, seed=11, reconcile=True, autoscale=False)
     yield cloud
     cloud.stop_background()
     cloud.cluster.run()
-
-
-class TestVmPoolAdapter:
-    @pytest.fixture()
-    def base(self):
-        vc = build_video_cloud(5, seed=4, deploy_vms=False)
-        tpl = VmTemplate(name="pool-node", vcpus=1, memory=1 * GiB,
-                         image="ubuntu-10.04-hadoop", dirty_rate=4 * MiB)
-        return vc, VmPoolAdapter(vc.cloud, "workers", tpl)
-
-    def test_add_then_ready_after_boot(self, base):
-        vc, adapter = base
-        name = adapter.add_member("v1")
-        assert name is not None
-        members = adapter.members()
-        assert [m.name for m in members] == [name]
-        assert members[0].phase == "starting"
-        assert members[0].version == "v1"
-        vc.cluster.run(until=vc.engine.now + 120.0)
-        assert adapter.members()[0].phase == "ready"
-
-    def test_only_tagged_vms_are_members(self, base):
-        vc, adapter = base
-        adapter.add_member("v1")
-        tpl = VmTemplate(name="other", vcpus=1, memory=1 * GiB,
-                         image="ubuntu-10.04-hadoop", dirty_rate=4 * MiB)
-        vc.cloud.instantiate(tpl, owner="oneadmin")   # untagged bystander
-        assert len(adapter.members()) == 1
-
-    def test_dead_host_makes_member_unhealthy(self, base):
-        vc, adapter = base
-        adapter.add_member("v1")
-        vc.cluster.run(until=vc.engine.now + 120.0)
-        host = adapter.members()[0].host
-        vc.cluster.host(host).fail()
-        m = adapter.members()[0]
-        assert m.phase == "unhealthy"
-        assert host in m.reason
-
-    def test_remove_without_drain_retires(self, base):
-        vc, adapter = base
-        name = adapter.add_member("v1")
-        vc.cluster.run(until=vc.engine.now + 120.0)
-        assert adapter.remove_member(name, drain=False)
-        vc.cluster.run(until=vc.engine.now + 10.0)
-        assert adapter.members() == []
-
-    def test_remove_with_drain_shuts_down(self, base):
-        vc, adapter = base
-        name = adapter.add_member("v1")
-        vc.cluster.run(until=vc.engine.now + 120.0)
-        assert adapter.remove_member(name, drain=True)
-        vc.cluster.run(until=vc.engine.now + 120.0)
-        vm = next(v for v in vc.cloud.vm_pool.values() if v.name == name)
-        assert vm.state is OneState.DONE
-
-    def test_removing_missing_member_is_fine(self, base):
-        _, adapter = base
-        assert adapter.remove_member("ghost", drain=True)
 
 
 class TestDataNodePoolAdapter:

@@ -6,7 +6,7 @@ from repro.chaos import DiskStall
 from repro.common.errors import ReconcileError
 from repro.hardware import Cluster
 from repro.reconcile import FleetSpec, MemberStatus, PoolSpec, Reconciler
-from repro.stack import build_reconciled_cloud, enable_gray_tolerance
+from repro.stack import build_video_cloud, enable_gray_tolerance
 
 
 class FakeBank:
@@ -155,12 +155,12 @@ class TestFullStack:
         on one DataNode is quarantined (host cordoned) within the storm
         window, is never declared dead, and is reinstated after serving
         probation once the stall clears."""
-        vc = build_reconciled_cloud(8, seed=11)
+        vc = build_video_cloud(8, seed=11, reconcile=True)
         vc.run(until=60.0)
         rec = vc.reconciler
         assert rec.report.open_pools() == []
 
-        enable_gray_tolerance(vc, probation=20.0)
+        enable_gray_tolerance(vc)
         vc.run(until=120.0)              # settle detectors + trackers
 
         victim = sorted(vc.fs.datanodes)[0]

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.common.errors import WebError
-from repro.stack import build_reconciled_cloud
+from repro.stack import build_video_cloud
 
 
 @pytest.fixture()
 def vc():
-    cloud = build_reconciled_cloud(seed=5, autoscale=False)
+    cloud = build_video_cloud(8, seed=5, reconcile=True, autoscale=False)
     cloud.run(until=30.0)          # reconciler fills the web pool to 2
     yield cloud
     cloud.stop_background()
