@@ -21,8 +21,7 @@ def make_server(cls):
     def page(request):
         def _h():
             # a typical PHP page: some CPU + a DB query's worth of time
-            yield cluster.engine.process(
-                server.host.compute_seconds(cluster.cal.web.php_page_cpu))
+            yield from server.host.compute_seconds(cluster.cal.web.php_page_cpu)
             return Response(body={"page": "home"})
 
         return _h()

@@ -57,4 +57,4 @@ class TransferDriver:
             yield cluster.engine.timeout(SNAPSHOT_COST)
         else:
             yield cluster.network.transfer(src_host, dst_host, image.size)
-            yield cluster.engine.process(cluster.host(dst_host).disk.write(image.size))
+            yield from cluster.host(dst_host).disk.write(image.size)

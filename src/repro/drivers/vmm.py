@@ -69,7 +69,7 @@ class VmmDriver:
         host = self.hypervisor.host
         self.trace.record(self.name, "save", vm.name, host=self.host_name)
         self.hypervisor.pause(vm)
-        yield host.engine.process(host.disk.write(vm.memory))
+        yield from host.disk.write(vm.memory)
         return vm
 
     def restore(self, vm: VirtualMachine) -> Generator:
@@ -78,6 +78,6 @@ class VmmDriver:
         self.trace.record(self.name, "restore", vm.name, host=self.host_name)
         if vm.state is not VmState.PAUSED:
             raise DriverError(f"restore: {vm.name} is not saved/paused")
-        yield host.engine.process(host.disk.read(vm.memory))
+        yield from host.disk.read(vm.memory)
         self.hypervisor.resume(vm)
         return vm

@@ -77,7 +77,7 @@ class DataNode:
                 # before the join, and an orphaned failure must not crash
                 # the engine (the client handles it via pipeline recovery)
                 forward.defuse()
-            yield engine.process(self.host.disk.write(block.length))
+            yield from self.host.disk.write(block.length)
             if not self.alive:
                 raise HdfsError(f"datanode {self.name} died mid-write")
             self.blocks[block.block_id] = block
@@ -109,7 +109,6 @@ class DataNode:
         bytes ship anyway -- the salvage path for a block whose every
         replica is corrupt.
         """
-        engine = self.host.engine
         fs = self.namenode.fs
 
         def _serve():
@@ -118,7 +117,7 @@ class DataNode:
             block = self.blocks.get(block_id)
             if block is None:
                 raise HdfsError(f"{self.name} has no replica of {block_id}")
-            yield engine.process(self.host.disk.read(block.length))
+            yield from self.host.disk.read(block.length)
             if block_id in self.corrupted and not allow_corrupt:
                 self.namenode.report_corrupt(self.name, block_id)
                 raise HdfsError(
@@ -164,7 +163,7 @@ class DataNode:
 
         def _probe():
             t0 = engine.now
-            yield engine.process(self.host.disk.read(self.probe_bytes or 0))
+            yield from self.host.disk.read(self.probe_bytes or 0)
             try:
                 yield fs.cluster.network.transfer(
                     self.name, fs.namenode_host, 4096)
@@ -235,15 +234,13 @@ class DataNode:
     def scan_once(self) -> Generator:
         """Process: the block scanner -- read-verify every local replica,
         reporting corrupt ones to the NameNode.  Returns found corruptions."""
-        engine = self.host.engine
-
         def _scan():
             found = []
             for block_id in sorted(self.blocks, key=lambda b: b.id):
                 block = self.blocks.get(block_id)
                 if block is None or not self.alive:
                     continue
-                yield engine.process(self.host.disk.read(block.length))
+                yield from self.host.disk.read(block.length)
                 if block_id in self.corrupted:
                     self.namenode.report_corrupt(self.name, block_id)
                     found.append(block_id)

@@ -92,10 +92,10 @@ class TaskTracker:
             local = self.name in split.hosts
             if local:
                 counters.data_local_maps += 1
-                yield engine.process(self.host.disk.read(split.length))
+                yield from self.host.disk.read(split.length)
             else:
                 src = split.hosts[0] if split.hosts else self.fs.namenode_host
-                yield engine.process(self.fs.cluster.host(src).disk.read(split.length))
+                yield from self.fs.cluster.host(src).disk.read(split.length)
                 yield self.fs.cluster.network.transfer(src, self.name, split.length)
             # charge CPU for scanning the input + running user code
             cpu_per_byte = (
@@ -105,14 +105,13 @@ class TaskTracker:
             )
             if fault_rng is not None and fault.attempt_fails(fault_rng, "map"):
                 # die halfway through the scan
-                yield engine.process(self.host.compute_seconds(
-                    cpu_per_byte * split.length * self.slowdown / 2))
+                yield from self.host.compute_seconds(
+                    cpu_per_byte * split.length * self.slowdown / 2)
                 m_failures.labels(kind="map").inc()
                 raise TaskAttemptFailed(
                     f"map attempt for split {split.split_id} died on {self.name}")
-            yield engine.process(
-                self.host.compute_seconds(cpu_per_byte * split.length * self.slowdown)
-            )
+            yield from self.host.compute_seconds(
+                cpu_per_byte * split.length * self.slowdown)
             counters.map_tasks += 1
             counters.map_input_bytes += split.length
             counters.map_input_records += len(split.records)
@@ -157,7 +156,7 @@ class TaskTracker:
             # spill to local disk (map output materialisation)
             spill = sum(sizes.values())
             if spill:
-                yield engine.process(self.host.disk.write(spill))
+                yield from self.host.disk.write(spill)
             m_seconds.labels(kind="map").observe(engine.now - t0)
             return MapOutput(
                 host=self.name, partitions=dict(partitions), sizes=sizes
@@ -212,7 +211,7 @@ class TaskTracker:
             cpu = (had.sort_cpu_per_byte + had.reduce_cpu_per_byte) * total_bytes
             cpu *= self.slowdown
             if cpu:
-                yield engine.process(self.host.compute_seconds(cpu))
+                yield from self.host.compute_seconds(cpu)
 
             grouped: dict[Any, list[Any]] = defaultdict(list)
             for mo in map_outputs:

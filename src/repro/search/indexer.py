@@ -139,7 +139,7 @@ def build_index_sequential(
         cpu = total_bytes * (
             had.index_cpu_per_byte + had.sort_cpu_per_byte + had.reduce_cpu_per_byte
         )
-        yield engine.process(node.compute_seconds(cpu))
+        yield from node.compute_seconds(cpu)
         index.finalize()
         return index, engine.now - started
 

@@ -93,10 +93,10 @@ class FFmpeg:
 
         def _run():
             yield engine.timeout(v.ffmpeg_startup)
-            yield engine.process(host.disk.read(src.size))
+            yield from host.disk.read(src.size)
             cycles = self.transcode_cycles(src, vcodec, resolution)
-            yield engine.process(host.compute(cycles))
-            yield engine.process(host.disk.write(out.size))
+            yield from host.compute(cycles)
+            yield from host.disk.write(out.size)
             return out
 
         return _run()
@@ -179,9 +179,9 @@ class FFmpeg:
         segments = self.split(src, n_segments)
 
         def _run():
-            yield engine.process(host.disk.read(src.size))
+            yield from host.disk.read(src.size)
             yield engine.timeout(self.split_cost(src))
-            yield engine.process(host.disk.write(src.size))
+            yield from host.disk.write(src.size)
             return segments
 
         return _run()
@@ -194,9 +194,9 @@ class FFmpeg:
 
         def _run():
             total = sum(s.size for s in segments)
-            yield engine.process(host.disk.read(total))
+            yield from host.disk.read(total)
             yield engine.timeout(self.concat_cost(segments))
-            yield engine.process(host.disk.write(out.size))
+            yield from host.disk.write(out.size)
             return out
 
         return _run()

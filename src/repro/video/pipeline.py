@@ -149,7 +149,7 @@ class DistributedTranscoder:
                     raise FaultInjectionError(f"worker {worker_name} is down")
                 if worker_name != ingest.name:
                     yield network.transfer(ingest.name, worker_name, segment.size)
-                    yield engine.process(worker.disk.write(segment.size))
+                    yield from worker.disk.write(segment.size)
                 conv = engine.process(
                     self.ffmpeg.transcode(
                         worker, segment, vcodec=vcodec, container=container,
@@ -166,7 +166,7 @@ class DistributedTranscoder:
                 out_seg = conv.value
                 if worker_name != ingest.name:
                     yield network.transfer(worker_name, ingest.name, out_seg.size)
-                    yield engine.process(ingest.disk.write(out_seg.size))
+                    yield from ingest.disk.write(out_seg.size)
                 return out_seg
 
             def handle(segment: VideoFile, home: int):

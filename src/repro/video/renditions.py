@@ -111,14 +111,14 @@ def extract_thumbnail(ffmpeg: FFmpeg, host: PhysicalHost, src: VideoFile,
         yield engine.timeout(v.ffmpeg_startup)
         # read roughly one GOP's worth of container bytes near the seek point
         gop_bytes = src.size / src.gop_count
-        yield engine.process(host.disk.read(int(gop_bytes)))
+        yield from host.disk.read(int(gop_bytes))
         # decode one GOP of frames + encode one JPEG
         gop_pixels = src.resolution.pixels * src.fps * src.gop_seconds
         dec = v.decode_cycles_per_pixel.get(src.vcodec, 40.0)
         cycles = dec * gop_pixels + 30.0 * THUMB_RESOLUTION.pixels
-        yield engine.process(host.compute(cycles))
+        yield from host.compute(cycles)
         size = int(THUMB_RESOLUTION.pixels * _JPEG_BYTES_PER_PIXEL)
-        yield engine.process(host.disk.write(size))
+        yield from host.disk.write(size)
         return Thumbnail(
             video=src.content_id, at_time=at_time,
             width=THUMB_RESOLUTION.width, height=THUMB_RESOLUTION.height,

@@ -135,7 +135,7 @@ class Hypervisor:
             vm.require_state(VmState.RUNNING)
             if fixed:
                 yield engine.timeout(fixed)
-            yield engine.process(host.compute(cycles, overhead=factor))
+            yield from host.compute(cycles, overhead=factor)
             vm.cpu_seconds_run += cycles * factor / host.cpu_hz
             return cycles
 

@@ -67,7 +67,7 @@ class ImageStore:
 
         def _clone():
             yield cluster.network.transfer(self.host_name, dst_host, image.size)
-            yield cluster.engine.process(cluster.host(dst_host).disk.write(image.size))
+            yield from cluster.host(dst_host).disk.write(image.size)
             return image
 
         return _clone()

@@ -184,8 +184,7 @@ class LoadBalancer:
             if server is None or not server.host.alive:
                 return
             t0 = engine.now
-            yield engine.process(
-                server.host.compute_seconds(self._probe_seconds))
+            yield from server.host.compute_seconds(self._probe_seconds)
             if (self._probe_from is not None
                     and self._probe_from != server.host.name):
                 try:

@@ -189,12 +189,17 @@ class VideoPortal:
     # -- cost helpers ----------------------------------------------------------------
 
     def _guest_work(self, seconds: float, kind: WorkKind) -> Generator:
-        """Run *seconds* of web-tier work, inside the guest VM when present."""
+        """Generator: *seconds* of web-tier work, in the guest VM when present.
+
+        The hypervisor's work keeps a process of its own; host work is a
+        job on the web host's CPU server and starts none.
+        """
         if (self.guest_vm is not None
                 and self.guest_vm.state is VmState.RUNNING):
             host = self.guest_vm.hypervisor.host
-            return self.guest_vm.run_work(seconds * host.cpu_hz, kind)
-        return self.cluster.host(self.web_host).compute_seconds(seconds)
+            return (yield self.engine.process(
+                self.guest_vm.run_work(seconds * host.cpu_hz, kind)))
+        yield from self.cluster.host(self.web_host).compute_seconds(seconds)
 
     def _php(self) -> Generator:
         """One PHP page render worth of CPU on the web tier."""
@@ -327,8 +332,8 @@ class VideoPortal:
     def _handle_metrics(self, request: Request) -> Generator:
         def _h():
             # serving /metrics is cheap: no PHP, one registry walk
-            yield self.engine.process(self._guest_work(
-                self.cluster.cal.web.php_page_cpu / 10, WorkKind.CPU))
+            yield from self._guest_work(
+                self.cluster.cal.web.php_page_cpu / 10, WorkKind.CPU)
             text = self.metrics.render_prometheus()
             return Response(
                 body={"page": "metrics", "text": text},
@@ -340,8 +345,8 @@ class VideoPortal:
 
     def _handle_healthz(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._guest_work(
-                self.cluster.cal.web.php_page_cpu / 10, WorkKind.CPU))
+            yield from self._guest_work(
+                self.cluster.cal.web.php_page_cpu / 10, WorkKind.CPU)
             layers = {}
             degraded = []
             for layer, probe in sorted(self.health_providers.items()):
@@ -371,7 +376,7 @@ class VideoPortal:
 
     def _handle_register(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             p = request.params
             try:
                 user_id = self.auth.register(
@@ -392,7 +397,7 @@ class VideoPortal:
 
     def _handle_verify(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             try:
                 user_id = self.auth.verify_email(request.params["token"])
             except AuthError as exc:
@@ -403,7 +408,7 @@ class VideoPortal:
 
     def _handle_login(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             try:
                 session = self.auth.login(
                     request.params["username"], request.params["password"]
@@ -419,7 +424,7 @@ class VideoPortal:
 
     def _handle_logout(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             try:
                 self.auth.logout(request.session_id or "")
             except AuthError as exc:
@@ -432,13 +437,13 @@ class VideoPortal:
 
     def _handle_home(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             stats = QueryStats()
             recent = self.db.table("videos").select(
                 {"status": "published"}, order_by="upload_time",
                 descending=True, limit=10, stats=stats,
             )
-            yield self.engine.process(self._charge_db(stats))
+            yield from self._charge_db(stats)
             return Response(body={
                 "page": "home",
                 "search_box": True,
@@ -449,7 +454,7 @@ class VideoPortal:
 
     def _handle_search(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             q = request.params.get("q", "")
             try:
                 page_num = int(request.params.get("page", 1))
@@ -467,7 +472,7 @@ class VideoPortal:
                 vid = int(hit.doc_id.removeprefix("video-"))
                 stats = QueryStats()
                 row = self.db.table("videos").get(vid, stats)
-                yield self.engine.process(self._charge_db(stats))
+                yield from self._charge_db(stats)
                 if row and row["status"] == "published":
                     results.append(dict(
                         self._video_summary(row),
@@ -569,7 +574,7 @@ class VideoPortal:
 
     def _handle_upload(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             self._refuse_degraded()
             p = request.params
             try:
@@ -609,14 +614,14 @@ class VideoPortal:
 
     def _handle_video_page(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             try:
                 video_id = int(request.params.get("id", -1))
             except (TypeError, ValueError):
                 raise HttpError(400, "id must be an integer") from None
             stats = QueryStats()
             row = self.db.table("videos").get(video_id, stats)
-            yield self.engine.process(self._charge_db(stats))
+            yield from self._charge_db(stats)
             if row is None or row["status"] != "published":
                 raise HttpError(404, f"no video {video_id}")
             self.db.table("videos").update(video_id, views=row["views"] + 1)
@@ -624,7 +629,7 @@ class VideoPortal:
             comments = self.db.table("comments").select(
                 {"video_id": video_id}, order_by="time", stats=cstats
             )
-            yield self.engine.process(self._charge_db(cstats))
+            yield from self._charge_db(cstats)
             rendition = self.rendition(video_id)
             related = []
             doc_id = f"video-{video_id}"
@@ -699,12 +704,12 @@ class VideoPortal:
 
     def _handle_feed(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             stats = QueryStats()
             recent = self.db.table("videos").select(
                 {"status": "published"}, order_by="upload_time",
                 descending=True, limit=20, stats=stats)
-            yield self.engine.process(self._charge_db(stats))
+            yield from self._charge_db(stats)
             rows = []
             for v in recent:
                 rows.append({"id": v["id"], "title": v["title"],
@@ -720,7 +725,7 @@ class VideoPortal:
 
     def _handle_my_videos(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             try:
                 user = self.auth.require_user(request.session_id)
             except AuthError as exc:
@@ -729,7 +734,7 @@ class VideoPortal:
             rows = self.db.table("videos").select(
                 {"owner_id": user["id"]}, order_by="upload_time",
                 descending=True, stats=stats)
-            yield self.engine.process(self._charge_db(stats))
+            yield from self._charge_db(stats)
             return Response(body={
                 "page": "my_videos",
                 "videos": [
@@ -752,7 +757,7 @@ class VideoPortal:
 
     def _handle_edit(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             try:
                 _, row = self._owned_video_or_403(request)
             except AuthError as exc:
@@ -774,7 +779,7 @@ class VideoPortal:
 
     def _handle_delete(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             try:
                 _, row = self._owned_video_or_403(request)
             except AuthError as exc:
@@ -814,7 +819,7 @@ class VideoPortal:
 
     def _handle_comment(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             try:
                 user = self.auth.require_user(request.session_id)
             except AuthError as exc:
@@ -832,7 +837,7 @@ class VideoPortal:
 
     def _handle_flag(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             try:
                 user = self.auth.require_user(request.session_id)
             except AuthError as exc:
@@ -857,7 +862,7 @@ class VideoPortal:
 
     def _handle_admin(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             try:
                 self._require_admin(request)
             except AuthError as exc:
@@ -865,7 +870,7 @@ class VideoPortal:
             stats = QueryStats()
             open_flags = self.db.table("flags").select(
                 {"resolved": False}, stats=stats)
-            yield self.engine.process(self._charge_db(stats))
+            yield from self._charge_db(stats)
             return Response(body={
                 "page": "admin",
                 "open_flags": [
@@ -879,7 +884,7 @@ class VideoPortal:
 
     def _handle_admin_remove(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             try:
                 self._require_admin(request)
             except AuthError as exc:
@@ -897,7 +902,7 @@ class VideoPortal:
 
     def _handle_admin_block(self, request: Request) -> Generator:
         def _h():
-            yield self.engine.process(self._php())
+            yield from self._php()
             try:
                 self._require_admin(request)
             except AuthError as exc:

@@ -456,9 +456,7 @@ class WebServer:
                 self.stats.peak_connections, self._conns.count
             )
             # server front-end overhead (parse, route, I/O multiplexing)
-            yield self.engine.process(
-                self.host.compute_seconds(self.request_cpu)
-            )
+            yield from self.host.compute_seconds(self.request_cpu)
             self.stats.cpu_seconds += self.request_cpu
             deprecated = False
             try:
