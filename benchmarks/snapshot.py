@@ -21,7 +21,9 @@ instead of rewriting it.  For the kernel suite the gated number is the
 *speedup* (fast path vs the frozen in-bench baseline, both measured on
 the same machine in the same run), which stays comparable across
 machines in a way raw events/sec never is: the gate fails when the
-fresh speedup drops below 80% of the committed one.
+fresh speedup drops below 80% of the committed one.  Every suite, kernel
+included, must also match the committed ``analyzer`` header (analyzer
+version and rule count) exactly.
 
 The script is plain stdlib on purpose: it shells out to pytest exactly
 the way CI does, so a snapshot is always produced by the same command
@@ -99,6 +101,11 @@ def carry_trajectory(blocks: dict, committed: dict) -> None:
 def check(suite: str, blocks: dict, committed: dict) -> list[str]:
     """Regression check against the committed snapshot; returns failures."""
     failures = []
+    # the analyzer header names the rule set the tree passed when the
+    # snapshot was taken; it carries no metrics, so compare it whole
+    if blocks.get("analyzer") != committed.get("analyzer"):
+        failures.append(f"{suite}/analyzer: {blocks.get('analyzer')} differs "
+                        f"from committed {committed.get('analyzer')}")
     if suite == "kernel":
         fresh = blocks.get("kernel", {}).get("metrics", {}).get("speedup")
         baseline = committed.get("kernel", {}).get("metrics", {}).get("speedup")
@@ -115,6 +122,8 @@ def check(suite: str, blocks: dict, committed: dict) -> list[str]:
         # simulated outputs are deterministic: a changed metric is a
         # behaviour change that belongs in a refreshed snapshot commit
         for tag, block in blocks.items():
+            if tag == "analyzer":
+                continue
             prior = committed.get(tag)
             if prior is None:
                 failures.append(f"{suite}/{tag}: not in committed snapshot")
